@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from scipy import stats as _scipy_stats
-
-from ..metrics import MeanCI
+from ..metrics import MeanCI, t_quantile
 from ..parallel import run_grid
 
 __all__ = ["Replication", "replicate"]
@@ -61,7 +59,7 @@ def replicate(
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    t = _scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1)
+    t = t_quantile(0.5 + confidence / 2, n - 1)
     half = t * math.sqrt(var / n)
     return Replication(
         values=values,

@@ -149,6 +149,8 @@ def generate_adl_trace(spec: AdlSpec = PAPER_ADL, seed: int = 0) -> Trace:
     requests: List[Request] = []
 
     # --- CGI bands ----------------------------------------------------------
+    # Hot and warm bands and static files build one frozen Request per
+    # distinct URL and repeat it; the RNG draws are the same either way.
     def band(prefix: str, distinct: int, draws: int, mean_t: float, sigma: float,
              zipf: float) -> None:
         times = _lognormal_with_mean(rng, mean_t, sigma, distinct)
@@ -156,14 +158,11 @@ def generate_adl_trace(spec: AdlSpec = PAPER_ADL, seed: int = 0) -> Trace:
             64, _lognormal_with_mean(rng, spec.cgi_mean_output, spec.cgi_output_sigma, distinct)
         ).astype(int)
         picks = rng.choice(distinct, size=draws, p=_zipf_weights(distinct, zipf))
-        for q in picks:
-            requests.append(
-                Request.cgi(
-                    url=f"/cgi-bin/{prefix}?q={q}",
-                    cpu_time=float(times[q]),
-                    response_size=int(sizes[q]),
-                )
-            )
+        pool = [
+            Request.cgi(url=f"/cgi-bin/{prefix}?q={q}", cpu_time=t, response_size=n)
+            for q, (t, n) in enumerate(zip(times.tolist(), sizes.tolist()))
+        ]
+        requests.extend([pool[q] for q in picks.tolist()])
 
     band("hot", spec.hot_distinct, spec.hot_draws, spec.hot_mean_time,
          spec.hot_sigma, spec.hot_zipf)
@@ -176,15 +175,15 @@ def generate_adl_trace(spec: AdlSpec = PAPER_ADL, seed: int = 0) -> Trace:
         64, _lognormal_with_mean(rng, spec.cgi_mean_output, spec.cgi_output_sigma, n_cold)
     ).astype(int)
     n_uncacheable = int(n_cold * spec.uncacheable_fraction)
-    for i in range(n_cold):
-        requests.append(
-            Request.cgi(
-                url=f"/cgi-bin/cold?session={i}",
-                cpu_time=float(cold_times[i]),
-                response_size=int(cold_sizes[i]),
-                cacheable=(i >= n_uncacheable),
-            )
+    requests.extend(
+        Request.cgi(
+            url=f"/cgi-bin/cold?session={i}",
+            cpu_time=t,
+            response_size=n,
+            cacheable=(i >= n_uncacheable),
         )
+        for i, (t, n) in enumerate(zip(cold_times.tolist(), cold_sizes.tolist()))
+    )
 
     # --- static files -----------------------------------------------------
     n_files = spec.total_requests - spec.cgi_requests
@@ -196,10 +195,13 @@ def generate_adl_trace(spec: AdlSpec = PAPER_ADL, seed: int = 0) -> Trace:
     picks = rng.choice(
         spec.file_distinct, size=n_files, p=_zipf_weights(spec.file_distinct, spec.file_zipf)
     )
-    for f in picks:
-        requests.append(Request.file(url=f"/docs/page{f}.html", size=int(file_sizes[f])))
+    files = [
+        Request.file(url=f"/docs/page{f}.html", size=n)
+        for f, n in enumerate(file_sizes.tolist())
+    ]
+    requests.extend([files[f] for f in picks.tolist()])
 
     # --- shuffle into an arrival order ----------------------------------------
     order = rng.permutation(len(requests))
-    shuffled = [requests[i] for i in order]
+    shuffled = [requests[i] for i in order.tolist()]
     return Trace(shuffled, name=f"adl-synthetic(seed={seed})")

@@ -131,12 +131,11 @@ def zipf_cgi_trace(
     weights = ranks ** (-zipf)
     weights /= weights.sum()
     picks = rng.choice(n_distinct, size=n_requests, p=weights)
-    reqs = [
-        Request.cgi(
-            url=f"{url_prefix}?q={q}",
-            cpu_time=float(times[q]),
-            response_size=output_bytes,
-        )
-        for q in picks
+    pool = [
+        Request.cgi(url=f"{url_prefix}?q={q}", cpu_time=t, response_size=output_bytes)
+        for q, t in enumerate(times.tolist())
     ]
-    return Trace(reqs, name=f"zipf-cgi(n={n_requests},d={n_distinct},s={zipf})")
+    return Trace(
+        [pool[q] for q in picks.tolist()],
+        name=f"zipf-cgi(n={n_requests},d={n_distinct},s={zipf})",
+    )

@@ -37,7 +37,9 @@ class Trace:
         return Trace([r for r in self.requests if predicate(r)], name=self.name)
 
     def cgi_only(self) -> "Trace":
-        return self.filter(lambda r: r.is_cgi)
+        return Trace(
+            [r for r in self.requests if r.kind is RequestKind.CGI], name=self.name
+        )
 
     def files_only(self) -> "Trace":
         return self.filter(lambda r: r.kind is RequestKind.FILE)

@@ -8,7 +8,7 @@ the time, 5 KB 50%, 50 KB 14%, 500 KB 0.9%, and 1 MB 0.1%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..sim import RandomStreams
 from .request import Request
@@ -37,10 +37,8 @@ def webstone_file_trace(n_requests: int, seed: int = 0) -> Trace:
     rng = RandomStreams(seed).stream("webstone")
     sizes = [size for size, _ in WEBSTONE_FILE_MIX]
     weights = [p for _, p in WEBSTONE_FILE_MIX]
-    requests: List[Request] = []
-    for _ in range(n_requests):
-        size = rng.choices(sizes, weights=weights)[0]
-        requests.append(Request.file(url=f"/webstone/file{size}.bin", size=size))
+    files = {size: Request.file(url=f"/webstone/file{size}.bin", size=size) for size in sizes}
+    requests = [files[rng.choices(sizes, weights=weights)[0]] for _ in range(n_requests)]
     return Trace(requests, name=f"webstone-files(n={n_requests})")
 
 

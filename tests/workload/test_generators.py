@@ -1,7 +1,10 @@
 """Unit tests for workload generators: ADL, WebStone, hit-ratio, Zipf."""
 
+import hashlib
+
 import pytest
 
+from repro.experiments import figure4_workload
 from repro.workload import (
     PAPER_ADL,
     WEBSTONE_FILE_MIX,
@@ -171,3 +174,44 @@ class TestZipfTrace:
     def test_bad_distinct_rejected(self):
         with pytest.raises(ValueError):
             zipf_cgi_trace(10, 0)
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for r in trace:
+        fields = (r.url, r.kind.value, r.response_size, r.cpu_time.hex(), r.cacheable)
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+#: Trace contents recorded when every draw still built its own Request;
+#: sharing one Request per distinct URL must not change a single field.
+GOLDEN = {
+    ("figure4", 0): "494214626fb395c481a5e13f5ea4908364e3657e5117cd015d6015f1636bc40c",
+    ("adl", 0): "13eccd07ee93481f5a58779ddaa7da688ea0ce3621e56721c19963106b24796c",
+    ("zipf", 0): "71d4208180435af5dd3ec70a953e1315d485aed8de52d9ce41bfa6506b5e8295",
+    ("figure4", 3): "a7e8c30231a0235edb57418fde5643d49eac0e82cde63228e02209b0690fe5bd",
+    ("adl", 3): "2558f613750fd900bcce8189edb8d6c00ad2756e4fd7684945565c6421bf223b",
+    ("zipf", 3): "ab18d331fe4c204ae5ff823fa42236a6be4ad50433aad4f5bd977fefb80c653e",
+    ("webstone", 0): "318b14d78772f498f2b311ae5a0940982e1700e115c16158f9e1b4b37997c9b0",
+    ("webstone", 3): "c8b67e0ad03ed0a1a7ba82331f092302ea495f59b755dbd210260b6ddc271299",
+}
+MAKERS = {
+    "figure4": lambda s: figure4_workload(0.05, s),
+    "adl": lambda s: generate_adl_trace(PAPER_ADL.scaled(0.1), s),
+    "zipf": lambda s: zipf_cgi_trace(2000, 50, seed=s),
+    "webstone": lambda s: webstone_file_trace(2000, s),
+}
+
+
+class TestSharedRequests:
+    @pytest.mark.parametrize("kind, seed", sorted(GOLDEN))
+    def test_contents_unchanged(self, kind, seed):
+        assert trace_digest(MAKERS[kind](seed)) == GOLDEN[kind, seed]
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_repeats_are_one_instance(self, kind):
+        trace = MAKERS[kind](0)
+        assert trace.repeat_count > 0
+        for reqs in trace.by_url().values():
+            assert all(r is reqs[0] for r in reqs)
