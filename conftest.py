@@ -1,11 +1,7 @@
 """Repo-level pytest configuration.
 
-CI runs the tier-1 suite once per event scheduler (heap / calendar /
-ladder) to prove the pluggable queues are observationally equivalent.
-The matrix leg communicates its choice via ``REPRO_SCHEDULER``; applying
-it here, before any test module builds a :class:`repro.sim.Simulator`,
-means every simulator in the run uses that queue without the tests
-having to know about the matrix.
+Puts ``src/`` on ``sys.path`` so the suite runs from a checkout without
+installing the package.
 
 Hypothesis runs under one of two profiles, chosen by
 ``HYPOTHESIS_PROFILE``:
@@ -30,9 +26,3 @@ if _SRC not in sys.path:
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", max_examples=1_000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
-
-_scheduler = os.environ.get("REPRO_SCHEDULER")
-if _scheduler:
-    from repro.sim import set_default_scheduler
-
-    set_default_scheduler(_scheduler)

@@ -17,10 +17,8 @@ machine and is what regression comparisons should use.
 
 from __future__ import annotations
 
-import gc as _gc
 import json
 import platform
-import random as _random
 import resource
 import sys
 import time
@@ -53,12 +51,6 @@ __all__ = [
     "bench_directory_sync",
     "bench_directory_sync_digest",
     "bench_directory_sync_bloom",
-    "bench_scheduler_stress_heap",
-    "bench_scheduler_stress_calendar",
-    "bench_scheduler_stress_ladder",
-    "bench_scheduler_stress_skew_heap",
-    "bench_scheduler_stress_skew_calendar",
-    "bench_scheduler_stress_skew_ladder",
     "bench_parallel_cluster_serial",
     "bench_parallel_cluster_pdes",
     "bench_observed_parallel_cluster",
@@ -300,105 +292,6 @@ def bench_directory_sync_bloom() -> int:
     return _directory_sync("bloom")
 
 
-# Pre-drawn timestamp increments for the scheduler stress family, cached
-# so the (identical) random-draw cost lands in the warmup round instead
-# of diluting every measured round with RNG time that is the same for
-# all three schedulers.
-_STRESS_DRAWS: Dict[Tuple[str, int, int], Tuple[List[float], List[float]]] = {}
-
-
-def _stress_draws(dist: str, n_pending: int, n_ops: int):
-    key = (dist, n_pending, n_ops)
-    cached = _STRESS_DRAWS.get(key)
-    if cached is None:
-        rng = _random.Random(1234)
-        if dist == "uniform":
-            draw = lambda: rng.uniform(0.5, 1.5)  # noqa: E731
-        else:  # bimodal: dense near-term cluster + sparse far tail
-            draw = lambda: (  # noqa: E731
-                rng.uniform(0.01, 0.1)
-                if rng.random() < 0.95
-                else rng.uniform(500.0, 1500.0)
-            )
-        cached = (
-            [draw() for _ in range(n_pending)],
-            [draw() for _ in range(n_ops)],
-        )
-        _STRESS_DRAWS[key] = cached
-    return cached
-
-
-def _scheduler_stress(
-    scheduler: str, dist: str, n_pending: int, n_ops: int
-) -> int:
-    """Classic hold-model stress on the raw pending-event set.
-
-    Build ``n_pending`` entries, run ``n_ops`` hold steps (pop the
-    minimum, push it back a random increment later — the steady state of
-    a long simulation), then drain to empty.  GC is disabled inside the
-    workload: at ~1M live tuples, collector sweeps otherwise dominate
-    the very queue costs being compared.
-    """
-    from .sim import make_queue
-
-    build, holds = _stress_draws(dist, n_pending, n_ops)
-    q = make_queue(scheduler)
-    gc_was_enabled = _gc.isenabled()
-    _gc.disable()
-    try:
-        push = q.push
-        for seq, t in enumerate(build):
-            push((t, 1, seq, None))
-        pop = q.pop
-        for seq, dt in enumerate(holds, n_pending):
-            push((pop()[0] + dt, 1, seq, None))
-        for _ in range(n_pending):
-            pop()
-    finally:
-        if gc_was_enabled:
-            _gc.enable()
-    assert len(q) == 0
-    # Every entry is pushed and popped exactly once.
-    return 2 * (n_pending + n_ops)
-
-
-# A/B/C triplets: identical op streams, only the structure differs.  The
-# uniform cell is the ISSUE acceptance benchmark (1M pending events);
-# the skewed cell is smaller because the calendar queue's known failure
-# mode on bimodal gaps (a day width tuned to the far tail crams the
-# dense cluster into a handful of buckets) makes it quadratically slow.
-
-
-def bench_scheduler_stress_heap() -> int:
-    """Hold-model stress, 1M pending, uniform gaps: binary-heap baseline."""
-    return _scheduler_stress("heap", "uniform", 1_000_000, 600_000)
-
-
-def bench_scheduler_stress_calendar() -> int:
-    """A/B twin of :func:`bench_scheduler_stress_heap` on the calendar queue."""
-    return _scheduler_stress("calendar", "uniform", 1_000_000, 600_000)
-
-
-def bench_scheduler_stress_ladder() -> int:
-    """A/B twin of :func:`bench_scheduler_stress_heap` on the ladder queue."""
-    return _scheduler_stress("ladder", "uniform", 1_000_000, 600_000)
-
-
-def bench_scheduler_stress_skew_heap() -> int:
-    """Hold-model stress with bimodal (95% dense / 5% far-tail) gaps."""
-    return _scheduler_stress("heap", "skew", 100_000, 200_000)
-
-
-def bench_scheduler_stress_skew_calendar() -> int:
-    """A/B twin of :func:`bench_scheduler_stress_skew_heap` (calendar)."""
-    return _scheduler_stress("calendar", "skew", 100_000, 200_000)
-
-
-def bench_scheduler_stress_skew_ladder() -> int:
-    """A/B twin of :func:`bench_scheduler_stress_skew_heap` (ladder)."""
-    return _scheduler_stress("ladder", "skew", 100_000, 200_000)
-
-
 def _parallel_cluster(n_shards: int) -> int:
     """A 16-node cooperative fleet run, serial or conservatively sharded.
 
@@ -485,12 +378,6 @@ BENCH_WORKLOADS: Dict[str, Callable[[], int]] = {
     "directory_sync": bench_directory_sync,
     "directory_sync_digest": bench_directory_sync_digest,
     "directory_sync_bloom": bench_directory_sync_bloom,
-    "scheduler_stress_heap": bench_scheduler_stress_heap,
-    "scheduler_stress_calendar": bench_scheduler_stress_calendar,
-    "scheduler_stress_ladder": bench_scheduler_stress_ladder,
-    "scheduler_stress_skew_heap": bench_scheduler_stress_skew_heap,
-    "scheduler_stress_skew_calendar": bench_scheduler_stress_skew_calendar,
-    "scheduler_stress_skew_ladder": bench_scheduler_stress_skew_ladder,
     "parallel_cluster_serial": bench_parallel_cluster_serial,
     "parallel_cluster_pdes": bench_parallel_cluster_pdes,
     "observed_parallel_cluster": bench_observed_parallel_cluster,

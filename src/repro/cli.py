@@ -63,9 +63,9 @@ def _export(rows, args) -> None:
 def _provenance_meta(args) -> dict:
     """The provenance manifest embedded in every ``--*-out`` export.
 
-    Records what produced the artifact — seed, scheduler, directory
-    protocol, shard layout (``--parallel-sim``/``--sim-backend``/
-    ``--jobs``), a hash of the full argument set, and the repro version —
+    Records what produced the artifact — seed, directory protocol, shard
+    layout (``--parallel-sim``/``--sim-backend``/``--jobs``), a hash of
+    the full argument set, and the repro version —
     so an export found on disk answers "which run was this?" without a
     lab notebook.  Output paths are excluded from the hash: the same run
     written to a different file must produce the same manifest (CI
@@ -93,7 +93,6 @@ def _provenance_meta(args) -> dict:
         "version": __version__,
         "command": getattr(args, "command", None),
         "seed": getattr(args, "seed", None),
-        "scheduler": getattr(args, "scheduler", None) or "heap",
         "directory": directory,
         "parallel_sim": getattr(args, "parallel_sim", None),
         "sim_backend": getattr(args, "sim_backend", None) or "auto",
@@ -1018,15 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="window width for --streaming-out (default 1.0)",
         )
 
-    def scheduler_opt(p):
-        p.add_argument(
-            "--scheduler", choices=["heap", "calendar", "ladder"],
-            default=None,
-            help="pending-event set for every simulator this command "
-            "creates (default heap; calendar/ladder win on very large "
-            "event populations — results are identical either way)",
-        )
-
     def positive_shards(value):
         k = int(value)
         if k < 1:
@@ -1060,7 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
             "commands; results and observability exports are identical "
             "to a serial run; only --audit-out falls back to serial)",
         )
-        scheduler_opt(p)
         parallel_sim_opt(p)
         observability(p)
 
@@ -1225,7 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dashboard", action="store_true",
         help="render an ASCII sparkline dashboard of each knee probe",
     )
-    scheduler_opt(p)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("analyze-log", help="Table-1 analysis of a real CLF log")
@@ -1255,7 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--clients", type=int, default=16)
     p.add_argument("--output", help="also write the report to this file")
-    scheduler_opt(p)
     parallel_sim_opt(p)
     observability(p)
     p.set_defaults(func=_cmd_run_config)
@@ -1445,7 +1432,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare-warn-only", action="store_true",
         help="report regressions but always exit 0 (for noisy machines)",
     )
-    scheduler_opt(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("all", help="regenerate every table and figure")
@@ -1454,7 +1440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the sweep-style tables/figures",
     )
-    scheduler_opt(p)
     parallel_sim_opt(p)
     p.set_defaults(func=_cmd_all)
 
@@ -1482,18 +1467,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "--audit-out, or use --sim-backend inline/auto to let the "
             "run fall back to serial (with a warning)."
         )
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler:
-        # Process-global: every Simulator the command creates (including
-        # those inside --jobs worker processes, which receive the name
-        # via the pool initializer) uses this pending-event set.
-        from .sim import set_default_scheduler
-
-        set_default_scheduler(scheduler)
     partitions = getattr(args, "parallel_sim", None)
     if partitions:
-        # Same process-global pattern as --scheduler: cluster-run helpers
-        # deep inside experiment code consult it via sim_partitions().
+        # Process-global (--jobs worker processes receive it via the pool
+        # initializer): cluster-run helpers deep inside experiment code
+        # consult it via sim_partitions().
         from .sim.pdes import set_sim_partitions
 
         set_sim_partitions(partitions, getattr(args, "sim_backend", None) or "auto")

@@ -3,10 +3,27 @@
 Every paper experiment is a sweep over independent simulation runs (node
 counts x cache modes x seeds), and each run is single-threaded and
 deterministic — so the sweep is embarrassingly parallel across
-*processes*.  :func:`fanout` is the one primitive the experiment modules
-use: it runs a module-level worker once per parameter cell and returns
-the results in cell order, so a parallel sweep renders the exact same
-table as a serial one.
+*processes*.  Results always come back in cell order, so a parallel
+sweep renders the exact same table as a serial one.  Two entry points
+share one pool:
+
+* :func:`fanout` is the primitive the experiment modules use: it runs a
+  module-level worker once per parameter cell.
+* :func:`run_grid` expands a parameter grid (cartesian product, in
+  insertion order) and returns :class:`GridResult` records with wall
+  times; :func:`map_parallel` is the order-preserving map under both.
+
+Typical use::
+
+    from repro.experiments.parallel import run_grid
+
+    results = run_grid(
+        my_experiment_fn,              # top-level callable (picklable)
+        {"cache_size": [20, 200, 2000], "seed": [0, 1, 2]},
+        n_workers=4,
+    )
+    for r in results:
+        print(r.params, r.value)
 
 Observed sweeps (``--trace-out`` / ``--metrics-out`` / ...) fan out too:
 the parent ships a picklable
@@ -31,11 +48,115 @@ identical to a shared one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import itertools
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..obs import runtime
 
-__all__ = ["effective_jobs", "fanout"]
+__all__ = [
+    "GridResult",
+    "expand_grid",
+    "run_grid",
+    "map_parallel",
+    "effective_jobs",
+    "fanout",
+]
+
+
+@dataclass(frozen=True)
+class GridResult:
+    """One grid cell: the parameters used, the return value, wall time."""
+
+    params: Dict[str, Any]
+    value: Any
+    elapsed: float
+
+
+def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
+    """Cartesian product of the grid in deterministic (insertion) order."""
+    if not grid:
+        return [{}]
+    keys = list(grid)
+    for key in keys:
+        if not isinstance(grid[key], (list, tuple)):
+            raise TypeError(f"grid value for {key!r} must be a list/tuple")
+        if not grid[key]:
+            raise ValueError(f"grid value for {key!r} is empty")
+    return [
+        dict(zip(keys, combo))
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
+
+
+def _init_worker(partitions: int, backend: str) -> None:
+    """Pool initializer: re-apply the parent's ``--parallel-sim`` setting.
+
+    The partitioning is process-global state (see :mod:`repro.sim.pdes`),
+    so worker processes must receive it by value — an experiment sharded
+    over ``--jobs`` then builds the same simulators the serial run would.
+    """
+    from ..sim.pdes import set_sim_partitions
+
+    set_sim_partitions(partitions, backend)
+
+
+def _pool(n_workers: int) -> ProcessPoolExecutor:
+    from ..sim.pdes import sim_partitions
+
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        initializer=_init_worker,
+        initargs=sim_partitions(),
+    )
+
+
+def map_parallel(
+    fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    n_workers: Optional[int] = None,
+) -> List[Any]:
+    """Order-preserving parallel map over ``items`` (processes)."""
+    items = list(items)
+    if not items:
+        return []
+    if n_workers is None:
+        n_workers = min(len(items), os.cpu_count() or 1)
+    if n_workers <= 1:
+        return [fn(item) for item in items]
+    with _pool(n_workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _call_cell(payload):
+    fn, params = payload
+    start = time.perf_counter()
+    value = fn(**params)
+    return value, time.perf_counter() - start
+
+
+def run_grid(
+    fn: Callable[..., Any],
+    grid: Mapping[str, Sequence[Any]],
+    n_workers: Optional[int] = None,
+) -> List[GridResult]:
+    """Run ``fn(**params)`` for every grid cell; results in grid order.
+
+    ``fn`` must be a module-level (picklable) callable.  ``n_workers`` <= 1
+    runs serially in-process (useful for debugging); ``None`` uses the CPU
+    count capped at the number of cells.
+    """
+    cells = expand_grid(grid)
+    outcomes = map_parallel(
+        _call_cell, [(fn, params) for params in cells], n_workers=n_workers
+    )
+    return [
+        GridResult(params=params, value=value, elapsed=elapsed)
+        for params, (value, elapsed) in zip(cells, outcomes)
+    ]
 
 
 def effective_jobs(jobs: Optional[int], n_cells: int) -> int:
@@ -90,8 +211,6 @@ def fanout(
     n_workers = effective_jobs(jobs, len(cells))
     if n_workers <= 1:
         return [worker(**cell) for cell in cells]
-    from ..parallel import map_parallel
-
     observer = runtime.current_observer()
     if observer is None:
         return map_parallel(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..metrics import MeanCI, t_quantile
-from ..parallel import run_grid
+from .parallel import run_grid
 
 __all__ = ["Replication", "replicate"]
 

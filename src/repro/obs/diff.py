@@ -56,7 +56,7 @@ def _flatten_meta(meta: Dict[str, Any]) -> Dict[str, float]:
     """Provenance manifest fields as ``meta.*`` counters.
 
     Numbers map directly; strings become presence counters
-    (``meta.key[value] = 1``) so a changed scheduler or protocol shows
+    (``meta.key[value] = 1``) so a changed protocol or backend shows
     up as an added+removed pair instead of being silently skipped.
     ``diff_counters`` ignores ``meta.*`` unless ``--only meta`` asks.
     """

@@ -4,9 +4,9 @@ Every other observability layer here (oracle, profiler, critical path)
 is post-hoc: it reports after the run ends.  This module watches the run
 *as it happens* the way an operator would — fixed-width sim-time windows
 of request rate, hit ratio and per-outcome latency, with the latency
-distribution summarised by mergeable online sketches (a P² marker
-estimator and a small merging t-digest) instead of stored samples — and
-flags the window in which the cluster stops keeping up.
+distribution summarised by a small mergeable t-digest instead of
+stored samples — and flags the window in which the cluster stops
+keeping up.
 
 Like the oracle and profiler it is perturbation-free: nothing here
 schedules simulation events or draws random numbers.  Windows close
@@ -48,7 +48,6 @@ from .ioutil import meta_line, read_text, write_text
 __all__ = [
     "HIT_OUTCOMES",
     "MISS_OUTCOMES",
-    "P2Quantile",
     "TDigest",
     "EwmaRate",
     "SLO",
@@ -124,114 +123,6 @@ def rank_error(samples: Sequence[float], estimate: float, p: float) -> float:
     return min(errors, key=abs)
 
 
-class P2Quantile:
-    """One quantile in O(1) memory: the P² algorithm (Jain & Chlamtac).
-
-    Five markers track {min, p/2, p, (1+p)/2, max}; each observation
-    nudges the middle markers toward their desired ranks with parabolic
-    (falling back to linear) interpolation.  Exact for the first five
-    observations and for constant streams; a heuristic after that —
-    guaranteed within the observed [min, max], cross-validate against
-    :class:`TDigest` or an exact ``Tally`` when it matters.
-    """
-
-    __slots__ = ("p", "_count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self._count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._rates = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def observe(self, x: float) -> None:
-        x = float(x)
-        self._count += 1
-        h = self._heights
-        if self._count <= 5:
-            bisect.insort(h, x)
-            return
-        n = self._positions
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(3, -1, -1):
-                if x >= h[i]:
-                    k = i
-                    break
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._rates[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                s = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, s)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, int(s))
-                n[i] += s
-
-    def _parabolic(self, i: int, s: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + s / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + s) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - s) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, s: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + s * (h[i + s] - h[i]) / (n[i + s] - n[i])
-
-    def value(self) -> float:
-        """The current estimate (NaN when nothing was observed)."""
-        if self._count == 0:
-            return math.nan
-        if self._count <= 5:
-            return exact_percentile(self._heights, self.p)
-        return self._heights[2]
-
-    def to_state(self) -> Dict[str, Any]:
-        """Exact marker state — a :meth:`from_state` round trip estimates
-        identically (P² is not mergeable; this is for shipping a sketch
-        across a process boundary, not for combining two)."""
-        return {
-            "p": self.p,
-            "count": self._count,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-    @staticmethod
-    def from_state(state: Dict[str, Any]) -> "P2Quantile":
-        sketch = P2Quantile(state["p"])
-        sketch._count = state["count"]
-        sketch._heights = list(state["heights"])
-        sketch._positions = list(state["positions"])
-        sketch._desired = list(state["desired"])
-        return sketch
-
-    def __repr__(self) -> str:
-        return f"<P2Quantile p={self.p} n={self._count} est={self.value():.6g}>"
-
-
 class TDigest:
     """A small merging t-digest (no RNG, deterministic, mergeable).
 
@@ -240,6 +131,11 @@ class TDigest:
     stay sharp in bounded memory.  Incoming values buffer and are merged
     in sorted order; everything is a deterministic function of the
     observation sequence, so same-seed runs sketch identically.
+
+    While the digest holds at most ``compression`` points it also keeps
+    the raw samples and answers :meth:`quantile` exactly — a few points
+    (a short window, heavy ties) are where centroid interpolation errs
+    most, and they cost no more to store than the centroids would.
 
     Documented bound (validated by the property tests): with the default
     ``compression`` the quantile estimate's *rank* error is at most
@@ -253,7 +149,7 @@ class TDigest:
     RANK_ERROR_BOUND = 0.05
 
     __slots__ = ("compression", "_means", "_weights", "_buffer", "_count",
-                 "_min", "_max")
+                 "_min", "_max", "_samples")
 
     def __init__(self, compression: float = 100.0):
         if compression < 20:
@@ -265,6 +161,8 @@ class TDigest:
         self._count = 0.0
         self._min = math.inf
         self._max = -math.inf
+        #: Every observation while ``count <= compression``, else None.
+        self._samples: Optional[List[float]] = []
 
     @property
     def count(self) -> float:
@@ -286,6 +184,11 @@ class TDigest:
             self._min = x
         if x > self._max:
             self._max = x
+        if self._samples is not None:
+            if self._count <= self.compression:
+                self._samples.append(x)
+            else:
+                self._samples = None
         if len(self._buffer) >= 4 * int(self.compression):
             self._compress()
 
@@ -294,6 +197,11 @@ class TDigest:
         if other._count == 0.0:
             return
         other._compress()
+        if (self._samples is not None and other._samples is not None
+                and self._count + other._count <= self.compression):
+            self._samples.extend(other._samples)
+        else:
+            self._samples = None
         self._means.extend(other._means)
         self._weights.extend(other._weights)
         self._count += other._count
@@ -345,6 +253,9 @@ class TDigest:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self._count == 0.0:
             return math.nan
+        if self._samples is not None:
+            self._samples.sort()
+            return exact_percentile(self._samples, q)
         self._compress()
         means, weights = self._means, self._weights
         if len(means) == 1:
@@ -374,7 +285,8 @@ class TDigest:
         return len(self._means)
 
     def to_state(self) -> Dict[str, Any]:
-        """Exact centroid state (buffer compressed first), picklable.
+        """Exact centroid state (buffer compressed first, raw samples
+        sorted), picklable.
 
         A :meth:`from_state` round trip reproduces the digest bit-for-bit
         — the same centroids a local :meth:`quantile` call would have
@@ -382,6 +294,7 @@ class TDigest:
         byte-identical to exports from the original.
         """
         self._compress()
+        samples = self._samples
         return {
             "compression": self.compression,
             "means": list(self._means),
@@ -389,6 +302,7 @@ class TDigest:
             "count": self._count,
             "min": self._min,
             "max": self._max,
+            "samples": sorted(samples) if samples is not None else None,
         }
 
     @staticmethod
@@ -399,6 +313,8 @@ class TDigest:
         digest._count = state["count"]
         digest._min = state["min"]
         digest._max = state["max"]
+        samples = state["samples"]
+        digest._samples = list(samples) if samples is not None else None
         return digest
 
     def __repr__(self) -> str:
@@ -487,7 +403,7 @@ class StreamingWindow:
         "run", "index", "t0", "t1",
         "arrivals", "completions", "errors", "hits", "misses",
         "latency_sum", "latency_min", "latency_max",
-        "digest", "p50_sketch", "p99_sketch",
+        "digest",
         "by_outcome", "exact",
         "queue_depth", "queue_growth", "rho", "signals", "closed",
     )
@@ -507,8 +423,6 @@ class StreamingWindow:
         self.latency_min = math.inf
         self.latency_max = -math.inf
         self.digest = TDigest(compression)
-        self.p50_sketch = P2Quantile(0.5)
-        self.p99_sketch = P2Quantile(0.99)
         self.by_outcome: Dict[str, List[float]] = {}
         self.exact: Optional[List[float]] = [] if keep_exact else None
         self.queue_depth = 0.0
@@ -565,8 +479,6 @@ class StreamingWindow:
         if latency > self.latency_max:
             self.latency_max = latency
         self.digest.observe(latency)
-        self.p50_sketch.observe(latency)
-        self.p99_sketch.observe(latency)
         stats = self.by_outcome.get(outcome)
         if stats is None:
             self.by_outcome[outcome] = [1.0, latency]
@@ -626,8 +538,6 @@ class StreamingWindow:
             "latency_min": self.latency_min,
             "latency_max": self.latency_max,
             "digest": self.digest.to_state(),
-            "p50_sketch": self.p50_sketch.to_state(),
-            "p99_sketch": self.p99_sketch.to_state(),
             "by_outcome": {k: list(v) for k, v in self.by_outcome.items()},
             "exact": list(self.exact) if self.exact is not None else None,
             "queue_depth": self.queue_depth,
@@ -651,8 +561,6 @@ class StreamingWindow:
         ):
             setattr(window, attr, state[attr])
         window.digest = TDigest.from_state(state["digest"])
-        window.p50_sketch = P2Quantile.from_state(state["p50_sketch"])
-        window.p99_sketch = P2Quantile.from_state(state["p99_sketch"])
         window.by_outcome = {k: list(v) for k, v in state["by_outcome"].items()}
         window.exact = list(state["exact"]) if state["exact"] is not None else None
         window.signals = list(state["signals"])
@@ -680,8 +588,6 @@ class StreamingWindow:
                 "max": _json_num(self.latency_max) if has_latency else None,
                 "p50": _json_num(self.p50),
                 "p99": _json_num(self.p99),
-                "p50_p2": _json_num(self.p50_sketch.value()),
-                "p99_p2": _json_num(self.p99_sketch.value()),
             },
             "outcomes": {
                 outcome: {"count": count, "mean": total / count if count else None}

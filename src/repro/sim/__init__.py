@@ -23,16 +23,6 @@ from .pdes import (
     using_partitions,
 )
 from .probes import EventTracer, sample
-from .queues import (
-    SCHEDULERS,
-    CalendarQueue,
-    HeapQueue,
-    LadderQueue,
-    default_scheduler,
-    make_queue,
-    set_default_scheduler,
-    using_scheduler,
-)
 from .resources import ProcessorSharing, Request, Resource, Store
 from .rng import RandomStreams
 from .sync import Lock, RWLock, Semaphore
@@ -46,14 +36,6 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "StopSimulation",
-    "HeapQueue",
-    "CalendarQueue",
-    "LadderQueue",
-    "SCHEDULERS",
-    "make_queue",
-    "default_scheduler",
-    "set_default_scheduler",
-    "using_scheduler",
     "ConservativeCoordinator",
     "sim_partitions",
     "set_sim_partitions",

@@ -12,9 +12,10 @@ seed produce identical event orderings.
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Generator, Iterable, Optional
-
-from .queues import make_queue
 
 __all__ = [
     "Simulator",
@@ -397,30 +398,24 @@ def _stop_simulation(event: Event) -> None:
 
 
 class Simulator:
-    """The event loop: a priority queue of ``(time, prio, seq, event)``.
+    """The event loop: a binary heap of ``(time, prio, seq, event)``.
 
-    ``queue`` selects the pending-event set implementation (see
-    :mod:`repro.sim.queues`); the default binary heap is right for most
-    models, the calendar/ladder queues win on very large event
-    populations.  All of them pop in identical ``(time, priority,
-    sequence)`` order, so the choice never changes simulation results.
+    The sequence component is globally unique, so the heap pops in one
+    and only one order and same-seed runs replay identically.
     """
 
     __slots__ = (
-        "_now", "_queue", "_qpush", "_seq", "_ticks", "_active_process",
+        "_now", "_heap", "_qpush", "_seq", "_ticks", "_active_process",
         "step_hooks", "_anon",
     )
 
-    def __init__(self, queue=None):
+    def __init__(self):
         self._now: float = 0.0
-        # No explicit queue: build the process-global default (normally
-        # the heap; the --scheduler flag rebinds it, see repro.sim.queues).
-        self._queue = queue if queue is not None else make_queue()
+        self._heap: list = []
         #: Bound push, looked up once: scheduling is the hottest call in
-        #: the engine and ``HeapQueue.push`` is a partial over the C
-        #: heappush, so this keeps the default's dispatch cost at the
-        #: pre-refactor inlined-heap level.
-        self._qpush = self._queue.push
+        #: the engine, and a partial over the C ``heappush`` adds no
+        #: interpreter frame.
+        self._qpush = partial(heappush, self._heap)
         self._seq: int = 0
         self._ticks: int = 0
         self._active_process: Optional[Process] = None
@@ -527,17 +522,14 @@ class Simulator:
         self._seq += 1
 
     def peek(self) -> float:
-        """Time of the next scheduled live event, or ``inf`` if none.
-
-        Cancelled-but-unpurged entries at the queue head are skipped
-        uniformly across all queue implementations.
-        """
-        return self._queue.peek_time()
+        """Time of the next scheduled event, or ``inf`` if none."""
+        heap = self._heap
+        return heap[0][0] if heap else inf
 
     def step(self) -> None:
         """Process the single next event."""
         try:
-            self._now, _, _, event = self._queue.pop()
+            self._now, _, _, event = heappop(self._heap)
         except IndexError:
             raise StopSimulation("no scheduled events") from None
 
@@ -560,24 +552,15 @@ class Simulator:
         The window primitive for conservative parallel simulation (see
         :mod:`repro.sim.pdes`): a shard repeatedly runs the window its
         coordinator proved safe.  Events at or after ``horizon`` stay
-        queued — the one overshooting pop is pushed straight back, which
-        every queue implementation accepts because the entry's key equals
-        the last popped key (never earlier).  Unlike :meth:`run`, an
-        exhausted queue just ends the window: more events may arrive by
-        cross-shard injection before the next one.
+        queued: the loop peeks at the head before popping it.  Unlike
+        :meth:`run`, an exhausted queue just ends the window: more events
+        may arrive by cross-shard injection before the next one.
         """
-        queue = self._queue
+        heap = self._heap
         hooks = self.step_hooks
         processed = 0
-        while True:
-            try:
-                item = queue.pop()
-            except IndexError:
-                return processed
-            if item[0] >= horizon:
-                queue.push(item)
-                return processed
-            self._now, _, _, event = item
+        while heap and heap[0][0] < horizon:
+            self._now, _, _, event = heappop(heap)
             self._ticks += 1
             processed += 1
             callbacks, event.callbacks = event.callbacks, None
@@ -589,6 +572,7 @@ class Simulator:
             if not event._ok and not event._defused:
                 # Nobody handled the failure: crash the simulation.
                 raise event._value
+        return processed
 
     def run(self, until: Any = None) -> Any:
         """Run until the queue drains, time ``until``, or event ``until``.
@@ -622,17 +606,14 @@ class Simulator:
         # The step() loop, inlined with local bindings: this is the hottest
         # loop in the whole reproduction.  Must stay behaviorally identical
         # to step() — same (time, priority, sequence) pop order, same
-        # callback/hook/failure sequence.  ``queue.pop`` is looked up per
-        # iteration on purpose: cancelling an entry swaps the queue's pop
-        # to a cancellation-skipping variant, and a loop-hoisted binding
-        # would keep returning cancelled events.  The queue signals
-        # exhaustion with IndexError (cost-free in the non-raising case).
-        queue = self._queue
+        # callback/hook/failure sequence.  ``heappop`` signals exhaustion
+        # with IndexError (cost-free in the non-raising case).
+        pop = partial(heappop, self._heap)
         hooks = self.step_hooks
         try:
             while True:
                 try:
-                    self._now, _, _, event = queue.pop()
+                    self._now, _, _, event = pop()
                 except IndexError:
                     break
                 self._ticks += 1

@@ -162,11 +162,8 @@ class InlineShard:
         pass
 
 
-def _shard_worker(conn, builder, kwargs, scheduler) -> None:
+def _shard_worker(conn, builder, kwargs) -> None:
     """Worker-process main loop: build the shard, then serve commands."""
-    from .queues import set_default_scheduler
-
-    set_default_scheduler(scheduler)
     spec = builder(**kwargs)
     shard = InlineShard(spec)
     conn.send((shard.hosts, shard.has_terminal))
@@ -189,20 +186,17 @@ class ProcessShard:
     ``builder(**kwargs)`` must be a picklable top-level callable
     returning a :class:`ShardSpec`; it runs *in the worker*, so the spec
     itself never crosses the pipe — only messages and the finalized
-    result do.  The parent's scheduler choice is re-applied in the
-    worker, like :mod:`repro.parallel` does for grid sweeps.
+    result do.
     """
 
     def __init__(self, builder, kwargs):
         import multiprocessing as mp
 
-        from .queues import default_scheduler
-
         ctx = mp.get_context()
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_shard_worker,
-            args=(child, builder, kwargs, default_scheduler()),
+            args=(child, builder, kwargs),
             daemon=True,
         )
         self._proc.start()
@@ -338,9 +332,9 @@ class ConservativeCoordinator:
 
 # -- process-global partitioning config --------------------------------------
 #
-# Like the default-scheduler knob in repro.sim.queues: the CLI sets it once
-# from --parallel-sim/--sim-backend, and run helpers deep inside experiment
-# code consult it without threading parameters through every call chain.
+# The CLI sets it once from --parallel-sim/--sim-backend, and run helpers
+# deep inside experiment code consult it without threading parameters
+# through every call chain.
 
 _partitions: int = 1
 _backend: str = "auto"

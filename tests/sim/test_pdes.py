@@ -2,14 +2,15 @@
 
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import CacheMode
 from repro.experiments.common import run_cluster_trace
 from repro.experiments.partition import run_partitioned_fleet
 from repro.net import Network, UnknownPort
 from repro.sim import (
-    SCHEDULERS,
     Simulator,
     set_sim_partitions,
     sim_partitions,
@@ -28,9 +29,8 @@ from repro.workload import zipf_cgi_trace
 
 # -- run_window ------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_run_window_processes_strictly_before_horizon(scheduler):
-    sim = Simulator(queue=SCHEDULERS[scheduler]())
+def test_run_window_processes_strictly_before_horizon():
+    sim = Simulator()
     fired = []
     for t in (0.5, 1.0, 1.5, 2.0, 2.5):
         sim.timeout(t, value=t).callbacks.append(
@@ -38,15 +38,14 @@ def test_run_window_processes_strictly_before_horizon(scheduler):
         )
     assert sim.run_window(2.0) == 3
     assert fired == [0.5, 1.0, 1.5]
-    # The overshooting pop was pushed back intact and runs next window.
+    # The event at the horizon stayed queued and runs next window.
     assert sim.peek() == 2.0
     assert sim.run_window(math.inf) == 2
     assert fired == [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_run_window_empty_queue_returns(scheduler):
-    sim = Simulator(queue=SCHEDULERS[scheduler]())
+def test_run_window_empty_queue_returns():
+    sim = Simulator()
     assert sim.run_window(10.0) == 0
     assert sim.peek() == math.inf
 
@@ -63,22 +62,22 @@ def test_run_window_keeps_working_after_new_arrivals():
     assert fired == [1.0, 2.5]
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_queue_tolerates_push_behind_drain_position(scheduler):
-    # The PDES window runtime pops an overshooting entry, pushes it back,
-    # and next round injects messages at earlier instants.  The calendar
-    # queue's drain cursor used to strand those, making peek_time lie
-    # and shards hear from the past.
-    q = SCHEDULERS[scheduler]()
-    late = (60.0, 1, 0, None)
-    q.push(late)
-    assert q.pop() == late
-    q.push(late)  # run_window push-back
-    early = (5.0, 1, 1, None)
-    q.push(early)  # next-round injection, behind the popped time
-    assert q.peek_time() == 5.0
-    assert q.pop() == early
-    assert q.pop() == late
+def test_queue_tolerates_push_behind_drain_position():
+    # A PDES window leaves an event past its horizon queued, and the next
+    # round injects messages at earlier instants; peek must report the
+    # injected one so shards never hear from the past.
+    sim = Simulator()
+    fired = []
+    sim.timeout(60.0, value=60.0).callbacks.append(
+        lambda e: fired.append(e.value)
+    )
+    assert sim.run_window(10.0) == 0
+    sim.schedule_at(5.0, value=5.0).callbacks.append(
+        lambda e: fired.append(e.value)
+    )
+    assert sim.peek() == 5.0
+    assert sim.run_window(math.inf) == 2
+    assert fired == [5.0, 60.0]
 
 
 def test_schedule_at_is_bit_exact():
@@ -282,6 +281,34 @@ def test_partitioned_fleet_process_backend_equals_serial():
     )
     assert _fleet_fingerprint(times, view) == serial
     assert view.backend == "process"
+
+
+@given(seed=st.integers(0, 2 ** 16), n_shards=st.sampled_from([2, 3]))
+@settings(max_examples=4, deadline=None)
+def test_same_seed_serial_equals_partitioned(seed, n_shards):
+    trace = zipf_cgi_trace(90, 25, zipf=0.9, cpu_time_mean=0.2, seed=seed)
+    serial = _fleet_fingerprint(
+        *run_cluster_trace(3, CacheMode.COOPERATIVE, trace,
+                           n_threads=3, n_hosts=3)
+    )
+    with using_partitions(n_shards, "inline"):
+        partitioned = _fleet_fingerprint(
+            *run_cluster_trace(3, CacheMode.COOPERATIVE, trace,
+                               n_threads=3, n_hosts=3)
+        )
+    assert partitioned == serial
+
+
+def test_table3_cell_identical_serial_vs_partitioned():
+    from repro.experiments.table3 import _run_one
+
+    serial = _run_one(4, CacheMode.COOPERATIVE, 20, 2.5, None)
+    with using_partitions(2, "inline"):
+        two = _run_one(4, CacheMode.COOPERATIVE, 20, 2.5, None)
+    with using_partitions(4, "inline"):
+        four = _run_one(4, CacheMode.COOPERATIVE, 20, 2.5, None)
+    assert two == serial
+    assert four == serial
 
 
 def _coop_config():

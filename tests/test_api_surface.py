@@ -28,7 +28,7 @@ class TestPublicExports:
             ("repro.obs", ["TraceCollector", "Span", "MetricsRegistry",
                            "request_records", "render_breakdown",
                            "load_jsonl"]),
-            ("repro.parallel", ["run_grid", "map_parallel"]),
+            ("repro.experiments.parallel", ["run_grid", "map_parallel"]),
         ],
     )
     def test_names_importable(self, module, names):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel import GridResult, expand_grid, map_parallel, run_grid
+from repro.experiments.parallel import GridResult, expand_grid, map_parallel, run_grid
 
 
 # Module-level so they pickle into worker processes.
