@@ -14,14 +14,12 @@ of events it dispatched.
 
 from repro.bench import (
     bench_broadcast_storm,
-    bench_broadcast_storm_unicast,
     bench_cache_store,
     bench_directory_sync,
     bench_directory_sync_bloom,
     bench_directory_sync_digest,
     bench_event_dispatch,
     bench_eviction_sweep,
-    bench_eviction_sweep_scan,
     bench_full_request_path,
     bench_processor_sharing,
     bench_stack_distances,
@@ -58,19 +56,9 @@ def test_perf_eviction_sweep(benchmark):
     assert benchmark(bench_eviction_sweep) == 8_000
 
 
-def test_perf_eviction_sweep_scan(benchmark):
-    """Same churn through the O(n) scan references (the A/B baseline)."""
-    assert benchmark(bench_eviction_sweep_scan) == 8_000
-
-
 def test_perf_broadcast_storm(benchmark):
     """12-node directory-update storm through the flattened broadcast."""
     assert benchmark(bench_broadcast_storm) > 0
-
-
-def test_perf_broadcast_storm_unicast(benchmark):
-    """Same storm through the replicated-unicast reference (A/B baseline)."""
-    assert benchmark(bench_broadcast_storm_unicast) > 0
 
 
 def test_perf_directory_sync(benchmark):

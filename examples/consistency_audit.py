@@ -33,6 +33,7 @@ from repro.obs import (
     ConsistencyOracle,
     TimeSeriesLog,
     TimeSeriesSampler,
+    attach,
     load_audit,
     render_audit_report,
     render_timeseries_dashboard,
@@ -56,7 +57,7 @@ def run_audited_cluster():
 
     oracle = ConsistencyOracle()
     oracle.new_run()
-    cluster.attach_oracle(oracle)
+    attach(cluster, oracle=oracle)
     cluster.start()
 
     log = TimeSeriesLog()

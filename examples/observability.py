@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Watching a running cluster: samplers, per-source latency breakdown, and
-the server's own access log.
+"""Watching a running cluster: resource probes, per-source latency
+breakdown, and the server's own access log.
 
 Run:  python examples/observability.py
 """
@@ -8,7 +8,8 @@ Run:  python examples/observability.py
 from repro.clients import ClientFleet
 from repro.core import CacheMode, SwalaCluster, SwalaConfig
 from repro.metrics import bar_chart
-from repro.sim import Simulator, sample
+from repro.obs import ResourceProfiler, attach
+from repro.sim import Simulator
 from repro.workload import analyze_caching_potential, load_clf, zipf_cgi_trace
 
 
@@ -18,21 +19,25 @@ def main():
     cluster.start()
     logs = [server.enable_access_log() for server in cluster.servers]
 
-    # Periodic probes on node 0: CPU run-queue and cache occupancy.
-    cpu_load = sample(sim, 0.5, lambda: cluster.machines[0].cpu.load,
-                      name="cpu-load", until=200.0)
-    occupancy = sample(sim, 0.5, lambda: len(cluster.servers[0].cacher.store),
-                       name="cache-entries", until=200.0)
+    # Probe every CPU, disk, NIC, mailbox, thread pool and directory lock.
+    profiler = ResourceProfiler()
+    attach(cluster, profiler=profiler)
 
     trace = zipf_cgi_trace(600, 80, zipf=1.0, cpu_time_mean=0.3, seed=7)
     fleet = ClientFleet(sim, cluster.network, trace,
                         servers=cluster.node_names, n_threads=12, n_hosts=2)
     fleet.run()
+    profiler.finalize()
 
     print("== probes (node 0) ==")
-    print(f"  time-averaged CPU run-queue: {cpu_load.time_average():.2f} jobs")
-    print(f"  peak run-queue:              {cpu_load.maximum():.0f} jobs")
-    print(f"  final cache occupancy:       {occupancy.current:.0f} entries")
+    probes = {probe.name: probe.to_dict() for probe in profiler.probes}
+    cpu = probes[f"{cluster.node_names[0]}.cpu"]
+    pool = probes[f"{cluster.node_names[0]}.pool"]
+    print(f"  CPU utilization:             {cpu['utilization']:.0%}")
+    print(f"  time-averaged CPU run-queue: {cpu['mean_load']:.2f} jobs")
+    print(f"  busy request threads (mean): {pool['mean_load']:.2f}")
+    print(f"  final cache occupancy:       "
+          f"{len(cluster.servers[0].cacher.store)} entries")
 
     print("\n== per-source response times (cluster) ==")
     by_source = cluster.stats().merged_source_times()

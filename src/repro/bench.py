@@ -44,10 +44,8 @@ __all__ = [
     "bench_full_request_path",
     "bench_streaming_telemetry",
     "bench_eviction_sweep",
-    "bench_eviction_sweep_scan",
     "bench_stack_distances",
     "bench_broadcast_storm",
-    "bench_broadcast_storm_unicast",
     "bench_directory_sync",
     "bench_directory_sync_digest",
     "bench_directory_sync_bloom",
@@ -183,16 +181,6 @@ def bench_eviction_sweep(n_ops: int = 2_000, capacity: int = 512) -> int:
     return sum(_eviction_churn(p, n_ops, capacity) for p in _EVICTION_POLICIES)
 
 
-def bench_eviction_sweep_scan(n_ops: int = 2_000, capacity: int = 512) -> int:
-    """A/B twin of :func:`bench_eviction_sweep` on the O(n) scan
-    references — the pre-index implementation, kept runnable so the
-    speedup stays measurable on the current machine."""
-    return sum(
-        _eviction_churn(p + "-scan", n_ops, capacity)
-        for p in _EVICTION_POLICIES
-    )
-
-
 def bench_stack_distances(n_requests: int = 8_000) -> int:
     """O(n log n) LRU stack-distance analysis over a zipf CGI trace."""
     trace = zipf_cgi_trace(n_requests, 400, seed=0)
@@ -201,9 +189,10 @@ def bench_stack_distances(n_requests: int = 8_000) -> int:
     return n_requests
 
 
-def _broadcast_storm(flatten: bool, n_nodes: int = 12, n_updates: int = 150) -> int:
-    """N-node directory-update storm: every node takes turns broadcasting
-    a 128-byte update to its N-1 peers, back to back."""
+def bench_broadcast_storm(n_nodes: int = 12, n_updates: int = 150) -> int:
+    """N-node directory-update storm through the flattened single-process
+    fan-out: every node takes turns broadcasting a 128-byte update to its
+    N-1 peers, back to back."""
     sim = Simulator()
     net = Network(sim, latency=0.0001, bandwidth=LAN_100MBIT)
     hosts = [f"n{i}" for i in range(n_nodes)]
@@ -222,27 +211,13 @@ def _broadcast_storm(flatten: bool, n_nodes: int = 12, n_updates: int = 150) -> 
         for k in range(n_updates):
             src = hosts[k % n_nodes]
             dsts = [h for h in hosts if h != src]
-            if flatten:
-                net.broadcast(src, dsts, "update", payload=k, size=128)
-            else:
-                net.broadcast_unicast(src, dsts, "update", payload=k, size=128)
+            net.broadcast(src, dsts, "update", payload=k, size=128)
             yield sim.timeout(0.001)
 
     sim.process(driver())
     sim.run()
     assert received[0] == n_updates * (n_nodes - 1)
     return received[0]
-
-
-def bench_broadcast_storm() -> int:
-    """Broadcast storm through the flattened single-process fan-out."""
-    return _broadcast_storm(flatten=True)
-
-
-def bench_broadcast_storm_unicast() -> int:
-    """A/B twin on the replicated-unicast reference (one transmit process
-    per destination — the pre-flattening implementation)."""
-    return _broadcast_storm(flatten=False)
 
 
 def _directory_sync(protocol: str, n_nodes: int = 24,
@@ -371,10 +346,8 @@ BENCH_WORKLOADS: Dict[str, Callable[[], int]] = {
     "full_request_path": bench_full_request_path,
     "streaming_telemetry": bench_streaming_telemetry,
     "eviction_sweep": bench_eviction_sweep,
-    "eviction_sweep_scan": bench_eviction_sweep_scan,
     "stack_distances": bench_stack_distances,
     "broadcast_storm": bench_broadcast_storm,
-    "broadcast_storm_unicast": bench_broadcast_storm_unicast,
     "directory_sync": bench_directory_sync,
     "directory_sync_digest": bench_directory_sync_digest,
     "directory_sync_bloom": bench_directory_sync_bloom,

@@ -3,7 +3,6 @@
 from .entry import CacheEntry
 from .policies import (
     POLICY_NAMES,
-    SCAN_POLICY_NAMES,
     CostPolicy,
     FIFOPolicy,
     GreedyDualSizePolicy,
@@ -27,5 +26,4 @@ __all__ = [
     "FIFOPolicy",
     "make_policy",
     "POLICY_NAMES",
-    "SCAN_POLICY_NAMES",
 ]

@@ -19,10 +19,10 @@ uniformly; ties break on the URL for determinism.
 
 LFU/SIZE/COST/FIFO are backed by a lazy-invalidation heap index
 (:class:`_HeapPolicy`): victim selection is O(log n) and access
-bookkeeping O(1) amortized.  The straight O(n) scan implementations are
-retained (``make_policy("<name>-scan")``) as the differential-testing
-reference — a heap policy must pick byte-identical victims to its scan
-twin over any operation sequence.
+bookkeeping O(1) amortized.  The test suite keeps straight O(n) scan
+twins over the same key mixins as the differential-testing reference —
+a heap policy must pick byte-identical victims to its scan twin over any
+operation sequence.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "FIFOPolicy",
     "make_policy",
     "POLICY_NAMES",
-    "SCAN_POLICY_NAMES",
 ]
 
 
@@ -97,37 +96,6 @@ class LRUPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._order)
-
-
-class _ScanPolicy(ReplacementPolicy):
-    """Base for policies that pick the minimum of a key over all entries.
-
-    O(n) victim selection.  Kept as the executable specification for the
-    heap-indexed policies below: the property suite drives a heap policy
-    and its scan twin with identical operation sequences and asserts they
-    evict identical victims.
-    """
-
-    def __init__(self):
-        self._entries: Dict[str, CacheEntry] = {}
-
-    def on_insert(self, entry: CacheEntry, now: float) -> None:
-        self._entries[entry.url] = entry
-
-    def on_access(self, entry: CacheEntry, now: float) -> None:
-        pass
-
-    def on_remove(self, entry: CacheEntry) -> None:
-        self._entries.pop(entry.url, None)
-
-    def _key(self, entry: CacheEntry):
-        raise NotImplementedError
-
-    def victim(self) -> CacheEntry:
-        return min(self._entries.values(), key=lambda e: (self._key(e), e.url))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class _HeapPolicy(ReplacementPolicy):
@@ -249,30 +217,6 @@ class FIFOPolicy(_FIFOKey, _HeapPolicy):
     name = "fifo"
 
 
-class ScanLFUPolicy(_LFUKey, _ScanPolicy):
-    """O(n) reference for :class:`LFUPolicy`."""
-
-    name = "lfu-scan"
-
-
-class ScanSizePolicy(_SizeKey, _ScanPolicy):
-    """O(n) reference for :class:`SizePolicy`."""
-
-    name = "size-scan"
-
-
-class ScanCostPolicy(_CostKey, _ScanPolicy):
-    """O(n) reference for :class:`CostPolicy`."""
-
-    name = "cost-scan"
-
-
-class ScanFIFOPolicy(_FIFOKey, _ScanPolicy):
-    """O(n) reference for :class:`FIFOPolicy`."""
-
-    name = "fifo-scan"
-
-
 class GreedyDualSizePolicy(ReplacementPolicy):
     """GreedyDual-Size (Cao & Irani, USITS '97) with cost = exec time.
 
@@ -343,22 +287,10 @@ _POLICIES = {
 
 POLICY_NAMES = tuple(sorted(_POLICIES))
 
-#: Scan-reference twins, addressable through :func:`make_policy` for
-#: differential tests and A/B benchmarks but deliberately *not* part of
-#: :data:`POLICY_NAMES` (experiments sweep only the canonical policies).
-_SCAN_POLICIES = {
-    cls.name: cls
-    for cls in (ScanLFUPolicy, ScanSizePolicy, ScanCostPolicy, ScanFIFOPolicy)
-}
-
-SCAN_POLICY_NAMES = tuple(sorted(_SCAN_POLICIES))
-
 
 def make_policy(name: str) -> ReplacementPolicy:
     """Instantiate a replacement policy by name (see ``POLICY_NAMES``)."""
-    cls = _POLICIES.get(name) or _SCAN_POLICIES.get(name)
+    cls = _POLICIES.get(name)
     if cls is None:
-        raise ValueError(
-            f"unknown policy {name!r}; choose from {POLICY_NAMES + SCAN_POLICY_NAMES}"
-        )
+        raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
     return cls()

@@ -93,54 +93,12 @@ class CacherModule:
         self._in_progress: dict = {}
         #: Completion events for in-progress executions (coalescing).
         self._in_progress_done: dict = {}
-        #: Optional :class:`~repro.obs.TraceCollector` (set by the server's
-        #: ``attach_tracer``); ``None`` => the request-thread services pay
-        #: only ``is None`` checks.
-        self.tracer = None
-        #: Optional :class:`~repro.obs.ConsistencyOracle` (set by the
-        #: server's ``attach_oracle``); same zero-cost-when-off contract.
-        self.oracle = None
-        #: Optional :class:`~repro.obs.ResourceProfiler` (set by the
-        #: server's ``attach_profiler``); the span helpers feed its
-        #: :class:`~repro.sim.probes.SpanLinker` in interval mode.
-        self.profiler = None
+        #: The simulation's collectors (:class:`~repro.sim.probes.
+        #: Instrumentation`); each is ``None`` while off.
+        self.obs = sim.obs
         #: The directory-synchronization strategy (broadcast / digest /
         #: bloom); owns all peer-facing metadata traffic and peer views.
         self.sync = make_directory_sync(self)
-
-    def attach_oracle(self, oracle) -> None:
-        """Audit consistency into ``oracle`` (zero-cost when off)."""
-        self.oracle = oracle
-        self.sync.oracle_attached(oracle)
-
-    def attach_profiler(self, profiler) -> None:
-        """Register the directory's RWLocks for contention scraping.
-
-        The locks keep their own counters (they predate the profiler), so
-        no hooks are installed — the profiler reads them at finalize."""
-        self.profiler = profiler
-        profiler.watch_locks(self.name, self.directory.locks())
-
-    # -- span helpers (no-ops while no tracer is attached) -------------------
-    def _span(self, parent, name: str, category: str):
-        if parent is None or self.tracer is None:
-            return None
-        now, tick = self.sim.monotonic()
-        span = self.tracer.start_span(
-            name, parent=parent, category=category, node=self.name,
-            start=now, tick=tick,
-        )
-        profiler = self.profiler
-        if profiler is not None and profiler.linker is not None:
-            profiler.linker.push(self.sim, span)
-        return span
-
-    def _end_span(self, span, **attrs) -> None:
-        if span is not None:
-            span.close(self.sim.now, **attrs)
-            profiler = self.profiler
-            if profiler is not None and profiler.linker is not None:
-                profiler.linker.pop(self.sim, span)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -216,8 +174,9 @@ class CacherModule:
             purged = self.store.purge_expired(now)
             for entry in purged:
                 self.stats.expirations += 1
-                if self.oracle is not None:
-                    self.oracle.shadow_remove(self.name, entry.url, "ttl", now)
+                oracle = self.obs.oracle
+                if oracle is not None:
+                    oracle.shadow_remove(self.name, entry.url, "ttl", now)
                 yield from self.directory.delete(entry.url, self.name)
                 yield from self.sync.announce_delete(entry.url)
 
@@ -275,8 +234,9 @@ class CacherModule:
         if entry is not None:
             self.store.remove(url)
             self.stats.invalidated += 1
-            if self.oracle is not None:
-                self.oracle.shadow_remove(self.name, url, "invalidated", self.sim.now)
+            oracle = self.obs.oracle
+            if oracle is not None:
+                oracle.shadow_remove(self.name, url, "invalidated", self.sim.now)
             yield from self.directory.delete(url, self.name)
             yield from self.sync.announce_delete(url)
             return
@@ -295,22 +255,22 @@ class CacherModule:
     def classify(self, request: Request, span=None) -> bool:
         """Fig. 2's first diamond: is this request cacheable at all?"""
         cacheable = self.config.is_cacheable(request)
-        child = self._span(span, "classify", "cpu")
-        self._end_span(child, cacheable=cacheable)  # instantaneous decision
+        child = self.obs.open_span(span, "classify", "cpu", self.name)
+        self.obs.close_span(child, cacheable=cacheable)  # instantaneous decision
         return cacheable
 
     def lookup(self, url: str, span=None) -> Generator:
         """Process: directory/indicator lookup; returns a live entry or
         ``None``.  Under indicator protocols a remote answer is a
         synthetic entry naming the believed owner."""
-        if span is None or self.tracer is None:
+        if span is None or self.obs.tracer is None:
             result = yield from self.sync.lookup(url, self.sim.now)
             return result
-        child = self._span(span, "lookup", "cpu")
+        child = self.obs.open_span(span, "lookup", "cpu", self.name)
         try:
             result = yield from self.sync.lookup(url, self.sim.now)
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
         if child is not None:
             child.annotate(
                 found=result is not None,
@@ -327,19 +287,19 @@ class CacherModule:
         entry = self.store.get(url)
         if entry is None or entry.expired(self.sim.now):
             return None
-        child = self._span(span, "fetch-local", "disk")
+        child = self.obs.open_span(span, "fetch-local", "disk", self.name)
         try:
             try:
                 yield from self.machine.serve_file(entry.file_path, mmap=True)
             except FileNotFound:
-                self._end_span(child, vanished=True)
+                self.obs.close_span(child, vanished=True)
                 child = None
                 return None
             if self.is_stale(entry):
                 self.stats.stale_hits += 1
             yield from self.record_hit(url)
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
         return entry
 
     def fetch_remote(
@@ -354,7 +314,7 @@ class CacherModule:
         for the current one.
         """
         seq = next(_fetch_ids)
-        child = self._span(span, "fetch-remote", "network")
+        child = self.obs.open_span(span, "fetch-remote", "network", self.name)
         if child is not None:
             child.annotate(owner=entry.owner)
         try:
@@ -377,7 +337,7 @@ class CacherModule:
                     # Timed out: withdraw the getter and fall back to execution.
                     reply_box.cancel(get_event)
                     self.stats.fetch_timeouts += 1
-                    self._end_span(child, hit=False, timeout=True)
+                    self.obs.close_span(child, hit=False, timeout=True)
                     child = None
                     return FetchReply(url=entry.url, hit=False, seq=seq)
                 msg = get_event.value
@@ -389,12 +349,12 @@ class CacherModule:
                     yield self.machine.compute(
                         self.machine.costs.net_send_per_byte_cpu * reply.size
                     )
-                self._end_span(child, hit=reply.hit)
+                self.obs.close_span(child, hit=reply.hit)
                 child = None
                 return reply
         finally:
             # Belt-and-braces: a failure inside the session still closes it.
-            self._end_span(child)
+            self.obs.close_span(child)
 
     def record_hit(self, url: str) -> Generator:
         """Process: owner-side meta-data statistics update after a fetch."""
@@ -450,13 +410,14 @@ class CacherModule:
         """Process: create the entry, update directory, broadcast (Fig. 2's
         'Create cache entry' + 'Broadcast cache entry' boxes)."""
         now = self.sim.now
-        child = self._span(span, "insert", "cpu")
+        oracle = self.obs.oracle
+        child = self.obs.open_span(span, "insert", "cpu", self.name)
         try:
             if self.config.cooperative and self.sync.has_elsewhere(request.url):
                 # A peer cached this while we were executing: type-2 false miss.
                 self.stats.false_misses += 1
                 if audit is not None:
-                    self.oracle.insert_raced(audit, request.url, now)
+                    oracle.insert_raced(audit, request.url, now)
             entry = CacheEntry(
                 url=request.url,
                 owner=self.name,
@@ -471,10 +432,10 @@ class CacherModule:
                 self.machine.costs.cache_write_per_byte_cpu * entry.size
             )
             evicted = self.store.insert(entry, now)
-            if self.oracle is not None:
-                self.oracle.shadow_insert(self.name, entry.url, now, entry.ttl)
+            if oracle is not None:
+                oracle.shadow_insert(self.name, entry.url, now, entry.ttl)
                 for victim in evicted:
-                    self.oracle.shadow_remove(
+                    oracle.shadow_remove(
                         self.name, victim.url, "capacity", now
                     )
             yield from self.directory.insert(entry)
@@ -487,7 +448,7 @@ class CacherModule:
                 for victim in evicted:
                     yield from self.sync.announce_delete(victim.url, child)
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
         return entry
 
     def flush(self) -> Generator:
@@ -497,8 +458,9 @@ class CacherModule:
         false hits linger beyond the usual window."""
         for entry in self.store.entries():
             self.store.remove(entry.url)
-            if self.oracle is not None:
-                self.oracle.shadow_remove(self.name, entry.url, "flush", self.sim.now)
+            oracle = self.obs.oracle
+            if oracle is not None:
+                oracle.shadow_remove(self.name, entry.url, "flush", self.sim.now)
             yield from self.directory.delete(entry.url, self.name)
             yield from self.sync.announce_delete(entry.url)
 

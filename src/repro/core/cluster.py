@@ -99,30 +99,12 @@ class SwalaCluster:
         for server in self.servers:
             server.start()
 
-    def attach_tracer(self, collector) -> None:
-        """Trace every node's requests (and their LAN hops) into ``collector``."""
-        self.network.tracer = collector
-        for server in self.servers:
-            server.attach_tracer(collector)
-
-    def attach_oracle(self, oracle) -> None:
-        """Audit every node's requests — and directory-update losses —
-        into one cluster-wide consistency ``oracle``."""
-        self.network.oracle = oracle
-        for server in self.servers:
-            server.attach_oracle(oracle)
-
-    def attach_profiler(self, profiler) -> None:
-        """Probe every node's resources, the LAN, and the directory locks."""
-        self.network.attach_profiler(profiler)
-        for server in self.servers:
-            server.attach_profiler(profiler)
-
     def attach_streaming(self, streaming) -> None:
-        """Stream every node's completions into windowed telemetry."""
-        streaming.n_servers = len(self.servers)
-        for server in self.servers:
-            server.attach_streaming(streaming)
+        """Stream every node's completions into windowed telemetry
+        (shorthand for ``repro.obs.attach(cluster, streaming=...)``)."""
+        from ..obs.runtime import attach
+
+        attach(self, streaming=streaming)
 
     def install_files(self, trace: Trace) -> None:
         """Give every node a copy of the static documents (shared docroot)."""

@@ -193,6 +193,7 @@ class DirectorySync:
 
     def __init__(self, cacher):
         self.cacher = cacher
+        self.obs = cacher.obs
 
     # -- conveniences -------------------------------------------------------
     @property
@@ -216,7 +217,7 @@ class DirectorySync:
         """Spawn any protocol daemons (none for broadcast)."""
 
     def oracle_attached(self, oracle) -> None:
-        """Called when a consistency oracle attaches to the cacher."""
+        """Called when a consistency oracle starts auditing this node."""
 
     # -- outgoing -----------------------------------------------------------
     def announce_insert(self, entry: CacheEntry, span=None) -> Generator:
@@ -296,8 +297,8 @@ class BroadcastSync(DirectorySync):
                 # any given duplicate, so the count never double-fires.)
                 self.stats.double_cached += 1
                 self.stats.false_misses += 1
-                if cacher.oracle is not None:
-                    cacher.oracle.observe_double_cached(
+                if self.obs.oracle is not None:
+                    self.obs.oracle.observe_double_cached(
                         cacher.name, entry.url, update, msg, self.sim.now
                     )
             yield from cacher.directory.insert(entry)
@@ -306,8 +307,8 @@ class BroadcastSync(DirectorySync):
         else:  # pragma: no cover - protocol misuse
             raise TypeError(f"unexpected update {update!r}")
         self.stats.updates_applied += 1
-        if cacher.oracle is not None:
-            cacher.oracle.broadcast_applied(cacher.name, update, msg, self.sim.now)
+        if self.obs.oracle is not None:
+            self.obs.oracle.broadcast_applied(cacher.name, update, msg, self.sim.now)
 
     def lookup(self, url: str, now: float) -> Generator:
         result = yield from self.cacher.directory.lookup(url, now)
@@ -329,9 +330,9 @@ class BroadcastSync(DirectorySync):
         cacher = self.cacher
         if not self.peers:
             return
-        if cacher.oracle is not None:
-            cacher.oracle.broadcast_sent(cacher.name, update, self.peers, self.sim.now)
-        child = cacher._span(span, "broadcast", "cpu")
+        if self.obs.oracle is not None:
+            self.obs.oracle.broadcast_sent(cacher.name, update, self.peers, self.sim.now)
+        child = self.obs.open_span(span, "broadcast", "cpu", cacher.name)
         try:
             yield self.machine.compute(
                 self.machine.costs.broadcast_per_peer_cpu * len(self.peers)
@@ -345,7 +346,7 @@ class BroadcastSync(DirectorySync):
             self.stats.dir_msgs_sent += len(self.peers)
             self.stats.dir_bytes_sent += DIRECTORY_UPDATE_BYTES * len(self.peers)
         finally:
-            cacher._end_span(child, peers=len(self.peers))
+            self.obs.close_span(child, peers=len(self.peers))
 
 
 class _IndicatorSync(DirectorySync):
@@ -405,7 +406,7 @@ class _IndicatorSync(DirectorySync):
         cacher = self.cacher
         if not self.peers:
             return
-        child = cacher._span(span, label, "cpu")
+        child = self.obs.open_span(span, label, "cpu", cacher.name)
         try:
             yield self.machine.compute(
                 self.machine.costs.broadcast_per_peer_cpu * len(self.peers)
@@ -417,7 +418,7 @@ class _IndicatorSync(DirectorySync):
             self.stats.dir_msgs_sent += len(self.peers)
             self.stats.dir_bytes_sent += size * len(self.peers)
         finally:
-            cacher._end_span(child, peers=len(self.peers))
+            self.obs.close_span(child, peers=len(self.peers))
 
 
 class DigestSync(_IndicatorSync):

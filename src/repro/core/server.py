@@ -61,28 +61,12 @@ class SwalaServer(ThreadPoolServer):
             config=self.config,
             stats=self.stats,
         )
-        #: Optional :class:`~repro.obs.ConsistencyOracle`; ``None`` keeps
-        #: the request path on the same instruction stream as before.
-        self.oracle = None
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
         super().start()
         if self.config.caching_enabled:
             self.cacher.start()
-
-    def attach_tracer(self, collector) -> None:
-        super().attach_tracer(collector)
-        self.cacher.tracer = collector
-
-    def attach_oracle(self, oracle) -> None:
-        """Audit this node's requests into ``oracle`` (zero-cost when off)."""
-        self.oracle = oracle
-        self.cacher.attach_oracle(oracle)
-
-    def attach_profiler(self, profiler) -> None:
-        super().attach_profiler(profiler)
-        self.cacher.attach_profiler(profiler)
 
     def _request_thread(self, tid: int):
         # Each request thread owns a private reply mailbox for its remote
@@ -91,7 +75,7 @@ class SwalaServer(ThreadPoolServer):
         reply_box = self.network.register(self.name, reply_port)
         while True:
             msg = yield self.listen_box.get()
-            probe = self._pool_probe
+            probe = self.pool_probe
             started = probe.busy_begin() if probe is not None else 0.0
             yield self.machine.dispatch_thread()
             yield from self.handle(msg.payload, reply_box, reply_port)
@@ -107,9 +91,10 @@ class SwalaServer(ThreadPoolServer):
     ) -> Generator:
         request = conn.request
         span = self._trace_request(conn)
+        oracle = self.obs.oracle
         audit = (
-            self.oracle.begin(self.name, request, self.sim.now)
-            if self.oracle is not None
+            oracle.begin(self.name, request, self.sim.now)
+            if oracle is not None
             else None
         )
         yield from self.accept_cost(span)
@@ -133,7 +118,7 @@ class SwalaServer(ThreadPoolServer):
         yield from self.send_cpu(request, span)
         self.finish(conn, source, span=span)
         if audit is not None:
-            self.oracle.finish(audit, self.sim.now, source)
+            oracle.finish(audit, self.sim.now, source)
 
     def _handle_cacheable(
         self, request, reply_box, reply_port, span=None, audit=None
@@ -141,8 +126,9 @@ class SwalaServer(ThreadPoolServer):
         lookup_started = self.sim.now
         false_hit_retries = 0
         coalesced = 0
+        oracle = self.obs.oracle
         if audit is not None:
-            self.oracle.ideal_check(audit, self.sim.now, self.config.cooperative)
+            oracle.ideal_check(audit, self.sim.now, self.config.cooperative)
         try:
             while True:
                 entry = yield from self.cacher.lookup(request.url, span)
@@ -178,7 +164,7 @@ class SwalaServer(ThreadPoolServer):
                     self.stats.false_hits += 1
                     false_hit_retries += 1
                     if audit is not None:
-                        self.oracle.false_hit(
+                        oracle.false_hit(
                             audit, request.url, entry.owner,
                             self.sim.now - fetch_started, self.sim.now,
                         )
@@ -189,18 +175,18 @@ class SwalaServer(ThreadPoolServer):
                 if self.config.coalesce_duplicates and self.cacher.in_progress(
                     request.url
                 ):
-                    wait_span = self._span(span, "wait-coalesced", "queue")
+                    wait_span = self.obs.open_span(span, "wait-coalesced", "queue", self.name)
                     try:
                         waited = yield from self.cacher.wait_for_execution(
                             request.url
                         )
                     finally:
-                        self._end_span(wait_span)
+                        self.obs.close_span(wait_span)
                     if waited:
                         self.stats.coalesced += 1
                         coalesced += 1
                         if audit is not None:
-                            self.oracle.coalesced(audit)
+                            oracle.coalesced(audit)
                         continue
 
                 # Execute the CGI, tee the output, maybe insert + broadcast.
@@ -210,7 +196,7 @@ class SwalaServer(ThreadPoolServer):
                 if duplicate:
                     self.stats.false_misses += 1
                 if audit is not None:
-                    self.oracle.execution_started(
+                    oracle.execution_started(
                         audit, request.url, duplicate, self.sim.now
                     )
                     exec_started = self.sim.now
@@ -218,7 +204,7 @@ class SwalaServer(ThreadPoolServer):
                     yield from self.execute_cgi(request, span)
                     self.stats.misses += 1
                     if audit is not None:
-                        self.oracle.execution_cost(
+                        oracle.execution_cost(
                             audit, self.sim.now - exec_started
                         )
                     if self.cacher.should_cache_result(
@@ -234,7 +220,7 @@ class SwalaServer(ThreadPoolServer):
                 finally:
                     self.cacher.execution_finished(request.url)
                     if audit is not None:
-                        self.oracle.execution_finished(self.name, request.url)
+                        oracle.execution_finished(self.name, request.url)
                 return "exec"
         finally:
             if span is not None and (false_hit_retries or coalesced):

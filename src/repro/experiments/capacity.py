@@ -36,6 +36,7 @@ from ..hosts import MachineCosts
 from ..metrics import render_table
 from ..obs.ioutil import write_text
 from ..obs.profiler import ResourceProfiler, _entries, _saturation
+from ..obs.runtime import attach
 from ..obs.streaming import SLO, StreamingTelemetry
 from ..sim import RandomStreams, Simulator
 from ..workload import TimedRequest, zipf_cgi_trace
@@ -202,7 +203,7 @@ def probe_rate(
     cluster.attach_streaming(telemetry)
     if profiler is not None:
         profiler.new_run()
-        cluster.attach_profiler(profiler)
+        attach(cluster, profiler=profiler)
     source = OpenLoopSource(
         sim, cluster.network, "frontdoor", cluster.node_names, timed
     )

@@ -70,30 +70,28 @@ class RunObserver:
         self._collected: set = set()
 
     def attach(self, target) -> None:
-        """Trace ``target`` (anything with ``attach_tracer``) from now on.
+        """Observe ``target`` (a cluster or a server) from now on.
 
-        Each *new* target marks a new run on the collector, so spans from
-        the several back-to-back simulations one experiment command runs
-        stay distinguishable in the dump.  Re-attaching the same target
-        (e.g. a helper attached it and ``start()`` attaches again) is a
-        no-op.
+        Each *new* target marks a new run on the collectors, so spans
+        from the several back-to-back simulations one experiment command
+        runs stay distinguishable in the dump.  Re-attaching the same
+        target (e.g. a helper attached it and ``start()`` attaches
+        again) is a no-op.  Only Swala nodes and clusters are audited.
         """
-        if not hasattr(target, "attach_tracer") or id(target) in self._attached:
+        if id(target) in self._attached:
             return
         self._attached.add(id(target))
         self.targets.append(target)  # keeps target (and its id) alive
-        if self.tracer is not None:
-            self.tracer.new_run()
-            target.attach_tracer(self.tracer)
-        if self.oracle is not None and hasattr(target, "attach_oracle"):
-            self.oracle.new_run()
-            target.attach_oracle(self.oracle)
-        if self.profiler is not None and hasattr(target, "attach_profiler"):
-            self.profiler.new_run()
-            target.attach_profiler(self.profiler)
-        if self.streaming is not None and hasattr(target, "attach_streaming"):
-            self.streaming.new_run()
-            target.attach_streaming(self.streaming)
+        oracle = self.oracle
+        if not (hasattr(target, "servers") or hasattr(target, "cacher")):
+            oracle = None
+        for collector in (self.tracer, oracle, self.profiler, self.streaming):
+            if collector is not None:
+                collector.new_run()
+        runtime.attach(
+            target, tracer=self.tracer, oracle=oracle,
+            profiler=self.profiler, streaming=self.streaming,
+        )
         if self.timeseries is not None:
             self._start_sampler(target)
 
@@ -314,10 +312,7 @@ class ObserverSpec:
         tracer = timeseries = profiler = streaming = None
         registry = observer.registry is not None
         if observer.tracer is not None:
-            tracer = {
-                "max_spans": observer.tracer.max_spans,
-                "max_events": observer.tracer.events.maxlen,
-            }
+            tracer = {"max_spans": observer.tracer.max_spans}
         if observer.timeseries is not None:
             timeseries = {"max_samples": observer.timeseries.max_samples}
         if observer.profiler is not None:

@@ -34,11 +34,6 @@ class Machine:
         self.disk = Disk(sim, self.costs.disk, name=f"{name}.disk")
         self.fs = FileSystem(sim, self.costs, self.disk, name=f"{name}.fs")
 
-    def attach_profiler(self, profiler) -> None:
-        """Probe the node's CPU bank and disk device."""
-        profiler.instrument(self.cpu)
-        profiler.instrument(self.disk.device)
-
     # -- CPU helpers --------------------------------------------------------
     def compute(self, seconds: float, weight: float = 1.0) -> Event:
         """Submit ``seconds`` of reference-machine CPU demand; the event

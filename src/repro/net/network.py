@@ -18,9 +18,8 @@ all (two timeout events end to end), and ``broadcast`` serializes all its
 copies from a single fan-out process instead of one process per
 destination.  Per-destination delivery instants, NIC serialization order,
 loss draws, and the ``messages_sent``/``bytes_sent`` accounting points
-are identical to replicated unicast — :meth:`broadcast_unicast` retains
-the original implementation as the executable reference the regression
-suite compares against.
+are identical to replicated unicast (the test suite keeps that original
+implementation as its executable reference).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import random
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..sim import Event, Resource, Simulator, Store, Tally
+from ..sim import Event, Instrumentation, Resource, Simulator, Store, Tally
 from .message import Message
 
 __all__ = ["Network", "UnknownPort", "LAN_100MBIT", "DEFAULT_LATENCY"]
@@ -86,21 +85,15 @@ class Network:
         #: vs the ``NodeStats.dir_msgs_sent`` the strategies maintain).
         self.port_traffic: Dict[str, List[int]] = {}
         self.transit_times = Tally(f"{name}.transit", keep_samples=False)
-        #: Optional :class:`~repro.obs.TraceCollector`.  Message hops are
-        #: traced only when the sender passes a parent span to :meth:`send`
-        #: or :meth:`broadcast`, so untraced traffic (and tracing off)
-        #: costs nothing.
-        self.tracer = None
-        #: Optional :class:`~repro.obs.ConsistencyOracle`.  The network
-        #: only reports *dropped* directory updates to it (a lost update
-        #: never reaches an update receiver, so nobody else can); one
-        #: ``is None`` check on the loss path, nothing on delivery.
-        self.oracle = None
-        #: Optional :class:`~repro.obs.ResourceProfiler`.  Kept as an
-        #: attribute (not just probed once) because NICs and mailboxes
-        #: are created lazily — late :meth:`attach`/:meth:`register`
-        #: calls must instrument their new resources too.
-        self.profiler = None
+        #: The collectors observing this LAN.  A bare network keeps a
+        #: private, all-off :class:`~repro.sim.probes.Instrumentation`;
+        #: attaching a cluster (:func:`repro.obs.attach`) swaps in its
+        #: simulation's ``sim.obs``, so single-server runs never trace
+        #: hops or probe NICs.  Hops are traced only when the sender
+        #: passes a parent span; the oracle hears only of *dropped*
+        #: directory updates; the profiler also probes NICs and
+        #: mailboxes created later by :meth:`attach`/:meth:`register`.
+        self.obs = Instrumentation(sim)
         #: Optional :class:`~repro.sim.pdes.Router`.  When set, sends to
         #: hosts this network has never heard of are forwarded to the
         #: router instead of raising — that is how a partitioned cluster
@@ -111,22 +104,14 @@ class Network:
         #: destination is local or remote.
         self.router = None
 
-    def attach_profiler(self, profiler) -> None:
-        """Probe every NIC and port mailbox, present and future."""
-        self.profiler = profiler
-        for nic in self._nics.values():
-            profiler.instrument(nic)
-        for mailbox in self._ports.values():
-            profiler.instrument(mailbox)
-
     # -- topology -----------------------------------------------------------
     def attach(self, host: str) -> None:
         """Give ``host`` a NIC (idempotent)."""
         if host not in self._nics:
             nic = Resource(self.sim, capacity=1, name=f"{host}.nic")
             self._nics[host] = nic
-            if self.profiler is not None:
-                self.profiler.instrument(nic)
+            if self.obs.profiler is not None:
+                self.obs.profiler.instrument(nic)
 
     def register(self, host: str, port: str) -> Store:
         """Open a mailbox for ``port`` on ``host`` and return it."""
@@ -135,9 +120,13 @@ class Network:
         if key not in self._ports:
             mailbox = Store(self.sim, name=f"{host}:{port}")
             self._ports[key] = mailbox
-            if self.profiler is not None:
-                self.profiler.instrument(mailbox)
+            if self.obs.profiler is not None:
+                self.obs.profiler.instrument(mailbox)
         return self._ports[key]
+
+    def resources(self) -> list:
+        """Every NIC, then every port mailbox, in creation order."""
+        return [*self._nics.values(), *self._ports.values()]
 
     def mailbox(self, host: str, port: str) -> Store:
         try:
@@ -173,23 +162,14 @@ class Network:
 
     # -- tracing --------------------------------------------------------------
     def _hop_span(self, parent, src: str, dst: str, port: str, size: int):
-        if self.tracer is None or parent is None:
+        tracer = self.obs.tracer
+        if tracer is None or parent is None:
             return None
         now, tick = self.sim.monotonic()
-        return self.tracer.start_span(
+        return tracer.start_span(
             f"hop:{src}->{dst}", parent=parent, category="network",
             node=src, start=now, tick=tick, port=port, bytes=size,
         )
-
-    def _hop_linker(self, span):
-        """The profiler's span linker, when this hop should carry the NIC
-        interval (interval-mode profiler + a traced hop).  NIC claims are
-        synchronous at send/broadcast call time, so pushing the hop span
-        around the claim attributes the serialization to the hop rather
-        than to whatever request span the caller had open."""
-        if span is None or self.profiler is None:
-            return None
-        return self.profiler.linker
 
     # -- transmission ---------------------------------------------------------
     def send(
@@ -214,16 +194,18 @@ class Network:
         span = self._hop_span(parent, src, dst, port, size)
         delivered = Event(self.sim)
         nic = self._nics[src]
-        linker = self._hop_linker(span)
-        if linker is not None:
-            linker.push(self.sim, span)
+        # NIC claims are synchronous at call time, so linking the hop span
+        # around the claim attributes the serialization to the hop rather
+        # than to whatever request span the caller had open.
+        if span is not None:
+            self.obs.link(span)
         token = nic.try_acquire()
         req = None
         if token is None:
             # Contended: queue on the NIC now (claim order = call order).
             req = nic.request()
-        if linker is not None:
-            linker.pop(self.sim, span)
+        if span is not None:
+            self.obs.unlink(span)
         if token is not None:
             # Fast path: the NIC is idle, so the whole transmission can be
             # driven by timeout callbacks — no process, no request event.
@@ -265,8 +247,8 @@ class Network:
             self.messages_dropped += 1
             if span is not None:
                 span.close(self.sim.now, dropped=True)
-            if self.oracle is not None:
-                self.oracle.message_dropped(msg)
+            if self.obs.oracle is not None:
+                self.obs.oracle.message_dropped(msg)
             delivered.succeed(None)  # dropped: delivery event reports None
             return
         router = self.router
@@ -354,12 +336,11 @@ class Network:
         # The single claim serializes every copy; attribute it to the
         # first hop span (one NIC interval per fan-out, not per copy).
         first_span = copies[0][2]
-        linker = self._hop_linker(first_span)
-        if linker is not None:
-            linker.push(self.sim, first_span)
+        if first_span is not None:
+            self.obs.link(first_span)
         req = nic.request()  # synchronous claim: FCFS order = call order
-        if linker is not None:
-            linker.pop(self.sim, first_span)
+        if first_span is not None:
+            self.obs.unlink(first_span)
         self.sim.process(
             self._transmit_fanout(nic, req, copies, size),
             name=f"bcast-{copies[0][0].msg_id}",
@@ -376,41 +357,6 @@ class Network:
                 self._launch(msg, delivered, span)
         finally:
             nic.release(req)
-
-    def broadcast_unicast(
-        self, src: str, dsts, port: str, payload: Any, size: int, parent=None,
-    ) -> List[Event]:
-        """Reference implementation of :meth:`broadcast` as replicated
-        unicast: one transmit process per destination, exactly the pre-
-        flattening behavior.  Kept for differential tests and A/B
-        benchmarks; the delivery schedule, NIC serialization order, loss
-        draws, and counters must match :meth:`broadcast` exactly."""
-        events = []
-        for dst in dsts:
-            if size < 0:
-                raise ValueError(f"negative message size {size}")
-            if self._unreachable(dst, port):
-                raise UnknownPort(f"{dst}:{port}")
-            self.attach(src)
-            msg = Message(
-                src=src, dst=dst, port=port, payload=payload, size=size,
-                send_time=self.sim.now,
-            )
-            span = self._hop_span(parent, src, dst, port, size)
-            delivered = Event(self.sim)
-            nic = self._nics[src]
-            linker = self._hop_linker(span)
-            if linker is not None:
-                linker.push(self.sim, span)
-            req = nic.request()
-            if linker is not None:
-                linker.pop(self.sim, span)
-            self.sim.process(
-                self._transmit(nic, req, msg, delivered, span),
-                name=f"xmit-{msg.msg_id}",
-            )
-            events.append(delivered)
-        return events
 
     def transfer_time(self, size: int) -> float:
         """Uncontended wire time for a message of ``size`` bytes."""

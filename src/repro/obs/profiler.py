@@ -437,11 +437,11 @@ class ResourceProbe:
 class ResourceProfiler:
     """Owns every probe of an observed run (or sweep of runs).
 
-    Attached through the same ``attach_profiler`` chain the tracer and
-    oracle use: the cluster fans out to the network, machines, servers
-    and cachers, each of which calls :meth:`instrument` on the resources
-    it owns (and :meth:`watch_locks` for directory RWLocks, which keep
-    their own counters — the profiler only scrapes them at finalize).
+    Attached with :func:`repro.obs.attach`, whose one resource walk
+    calls :meth:`instrument` on the network's NICs and mailboxes and on
+    each node's CPU bank and disk, :meth:`make_probe` for thread pools,
+    and :meth:`watch_locks` for directory RWLocks (which keep their own
+    counters — the profiler only scrapes them at finalize).
     """
 
     def __init__(self, max_resources: int = 4096,

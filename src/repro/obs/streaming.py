@@ -20,9 +20,8 @@ The saturation detector flags a closed window when any configured
 :class:`SLO` bound is crossed:
 
 * ``p99_latency`` — the window's sketched p99 response time;
-* ``max_queue_growth`` — growth of the sampled queue depth (backlog of
-  in-flight requests, or a profiler-probe depth when wired) across the
-  window;
+* ``max_queue_growth`` — growth of the queue depth (backlog of
+  in-flight requests: arrivals minus completions) across the window;
 * ``max_rho`` — Little's-law utilisation ρ = λ·W / c (completions-rate
   times mean residence time over server count): ρ > 1 cannot be
   sustained by any work-conserving system.
@@ -39,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..metrics.ascii import sparkline
@@ -611,8 +610,8 @@ class StreamingWindow:
 class StreamingTelemetry:
     """Windowed run telemetry with an SLO-driven saturation detector.
 
-    Attach with ``cluster.attach_streaming(telemetry)`` (or through
-    :class:`~repro.experiments.common.RunObserver`); servers feed each
+    Attach with ``repro.obs.attach(cluster, streaming=telemetry)`` (or
+    through :class:`~repro.experiments.common.RunObserver`); servers feed each
     completed request into :meth:`record` and open-loop sources feed
     arrivals into :meth:`note_arrival`.  Both are pure bookkeeping —
     the window containing an observation closes when a *later*
@@ -645,10 +644,6 @@ class StreamingTelemetry:
         self.windows: List[StreamingWindow] = []
         self.run = 0
         self.n_servers = 1
-        #: Optional queue-depth sampler (e.g. max profiler-probe depth),
-        #: read once per window close; defaults to the arrival/completion
-        #: backlog this object tracks itself.
-        self.queue_probe: Optional[Callable[[], float]] = None
         self.rate_ewma = EwmaRate(ewma_halflife or 3.0 * self.window)
         self.latency_ewma = EwmaRate(ewma_halflife or 3.0 * self.window)
         self.dropped = 0
@@ -741,10 +736,7 @@ class StreamingTelemetry:
         if window.closed:
             return
         window.closed = True
-        if self.queue_probe is not None:
-            depth = float(self.queue_probe())
-        else:
-            depth = float(self._arrivals - self._completions)
+        depth = float(self._arrivals - self._completions)
         window.queue_depth = depth
         window.queue_growth = depth - self._last_depth
         self._last_depth = depth

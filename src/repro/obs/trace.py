@@ -12,9 +12,9 @@ The :class:`TraceCollector` is deliberately **simulator-agnostic**: spans
 carry explicit sim-clock timestamps supplied by the instrumented code
 (via :meth:`~repro.sim.Simulator.monotonic`), so one collector can
 accumulate spans across the several back-to-back simulations an
-experiment command runs.  It is bounded (``max_spans`` / ``max_events``)
-so an unbounded run cannot exhaust memory; overflow is counted in
-``dropped`` rather than silently discarded.
+experiment command runs.  It is bounded (``max_spans``) so an unbounded
+run cannot exhaust memory; overflow is counted in ``dropped`` rather
+than silently discarded.
 
 Export is deterministic JSONL: one object per line, sorted keys, compact
 separators — two runs with the same seed produce byte-identical files.
@@ -31,9 +31,8 @@ streams back together.
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .ioutil import meta_line, read_text, write_text
 
@@ -42,8 +41,6 @@ __all__ = [
     "TraceCollector",
     "TraceDump",
     "load_jsonl",
-    "start_child",
-    "finish_span",
     "SPAN_CATEGORIES",
 ]
 
@@ -163,25 +160,15 @@ class Span:
 
 
 class TraceCollector:
-    """Bounded per-run accumulator of spans (and optional engine events).
+    """Bounded per-run accumulator of spans."""
 
-    ``record_event`` is the bridge from :class:`repro.sim.EventTracer`:
-    raw engine events land in a separate bounded ring so a span trace can
-    carry low-level scheduling context without growing without bound.
-    """
-
-    def __init__(self, max_spans: int = 200_000, max_events: int = 10_000):
+    def __init__(self, max_spans: int = 200_000):
         if max_spans < 1:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.max_spans = max_spans
         self.spans: List[Span] = []
         #: Spans not stored because the collector was full.
         self.dropped = 0
-        self.events: Deque[Tuple[float, str, str]] = deque(maxlen=max_events)
-        #: Engine events evicted from the bounded ring.
-        self.events_dropped = 0
         #: Bumped by :meth:`new_run`; stamped on every span so one
         #: collector can cover several back-to-back simulations.
         self.run = 0
@@ -252,13 +239,6 @@ class TraceCollector:
             self.spans.append(span)
         return span
 
-    # -- engine-event bridge ---------------------------------------------
-    def record_event(self, time: float, kind: str, detail: str) -> None:
-        """Sink for :class:`repro.sim.EventTracer` records."""
-        if len(self.events) == self.events.maxlen:
-            self.events_dropped += 1
-        self.events.append((time, kind, detail))
-
     # -- queries ----------------------------------------------------------
     def traces(self) -> Dict[int, List[Span]]:
         """Spans grouped by trace id, in creation order."""
@@ -283,8 +263,6 @@ class TraceCollector:
         return {
             "spans": [span.to_dict() for span in self.spans],
             "dropped": self.dropped,
-            "events": list(self.events),
-            "events_dropped": self.events_dropped,
             "run": self.run,
             "next_trace": self._next_trace,
             "next_span": self._next_span,
@@ -331,9 +309,6 @@ class TraceCollector:
             else:
                 self.spans.append(span)
         self.dropped += snap["dropped"]
-        for time, kind, detail in snap["events"]:
-            self.record_event(time, kind, detail)
-        self.events_dropped += snap["events_dropped"]
         self._next_trace += snap["next_trace"] - 1
         self._next_span += snap["next_span"] - 1
         self.run = max(self.run, run_base + snap["run"])
@@ -341,20 +316,12 @@ class TraceCollector:
 
     # -- export -----------------------------------------------------------
     def to_jsonl(self) -> str:
-        """Deterministic JSONL: spans in (trace, span-id) order, then the
-        engine-event ring.  Identical seeds => byte-identical output."""
+        """Deterministic JSONL: spans in (trace, span-id) order.  Identical
+        seeds => byte-identical output."""
         lines = []
         for span in sorted(self.spans, key=lambda s: (s.trace_id, s.span_id)):
             lines.append(
                 json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            )
-        for time, kind, detail in self.events:
-            lines.append(
-                json.dumps(
-                    {"type": "event", "time": time, "kind": kind, "detail": detail},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
             )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -370,12 +337,13 @@ class TraceCollector:
     def __repr__(self) -> str:
         return (
             f"<TraceCollector spans={len(self.spans)} dropped={self.dropped} "
-            f"events={len(self.events)} run={self.run}>"
+            f"run={self.run}>"
         )
 
 
 class TraceDump:
-    """A loaded trace file: spans plus the raw engine-event tail.
+    """A loaded trace file: spans, plus the engine-event lines that
+    trace files written before the event ring was removed may carry.
 
     ``skipped_lines`` counts malformed lines dropped by a lenient
     :func:`load_jsonl` (a truncated file's torn tail).
@@ -439,29 +407,3 @@ def load_jsonl(path: Union[str, Path], strict: bool = True) -> TraceDump:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             skipped += 1
     return TraceDump(spans, events, skipped_lines=skipped)
-
-
-# -- no-op-friendly helpers for instrumented code ---------------------------
-
-def start_child(
-    tracer: Optional[TraceCollector],
-    parent: Optional[Span],
-    name: str,
-    *,
-    category: str,
-    node: str,
-    clock: Tuple[float, int],
-) -> Optional[Span]:
-    """Child span, or ``None`` when tracing is off — callers never branch."""
-    if tracer is None or parent is None:
-        return None
-    now, tick = clock
-    return tracer.start_span(
-        name, parent=parent, category=category, node=node, start=now, tick=tick
-    )
-
-
-def finish_span(span: Optional[Span], end: float, **attrs: Any) -> None:
-    """Close ``span`` if tracing was on; silently no-op otherwise."""
-    if span is not None:
-        span.close(end, **attrs)

@@ -272,6 +272,7 @@ def run_cell(
     from ..sim import Simulator
     from ..workload import unique_cgi_trace
     from .profiler import ResourceProfiler
+    from .runtime import attach
     from .trace import TraceCollector
 
     costs = SUN_ULTRA1
@@ -302,10 +303,9 @@ def run_cell(
     if observe:
         tracer = TraceCollector()
         tracer.new_run(label="whatif-baseline")
-        cluster.attach_tracer(tracer)
         profiler = ResourceProfiler(record_intervals=True)
         profiler.new_run()
-        cluster.attach_profiler(profiler)
+        attach(cluster, tracer=tracer, profiler=profiler)
     cluster.start()
     trace = unique_cgi_trace(n_requests, cpu_time=cpu_time)
     client = ClientThread(

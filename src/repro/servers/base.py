@@ -6,9 +6,10 @@ serving through the machine's filesystem, CGI execution via fork/exec on
 the machine's CPU, and response transmission over the LAN.
 
 Every building block accepts an optional parent *span* so a
-:class:`~repro.obs.TraceCollector` attached via :meth:`BaseServer.
-attach_tracer` sees the whole request anatomy; with no tracer attached
-(the default) the span arguments stay ``None`` and the path is untouched.
+:class:`~repro.obs.TraceCollector` attached to the simulation (see
+:func:`repro.obs.attach`) sees the whole request anatomy; with no tracer
+attached (the default) the span arguments stay ``None`` and the path is
+untouched.
 """
 
 from __future__ import annotations
@@ -58,16 +59,9 @@ class BaseServer:
         self.stats = NodeStats(node=self.name)
         #: Optional CLF access log (see :meth:`enable_access_log`).
         self.access_log = None
-        #: Optional :class:`~repro.obs.TraceCollector`; ``None`` => tracing
-        #: off and the request path pays only ``is None`` checks.
-        self.tracer = None
-        #: Optional :class:`~repro.obs.ResourceProfiler`; attached via
-        #: :meth:`attach_profiler`, same ``is None`` discipline.
-        self.profiler = None
-        #: Optional :class:`~repro.obs.StreamingTelemetry`; attached via
-        #: :meth:`attach_streaming`, same ``is None`` discipline — its
-        #: windows close lazily off these observations, never off events.
-        self.streaming = None
+        #: The simulation's collectors (:class:`~repro.sim.probes.
+        #: Instrumentation`); each is ``None`` while off.
+        self.obs = sim.obs
         self._started = False
 
     def enable_access_log(self) -> "AccessLog":
@@ -78,20 +72,7 @@ class BaseServer:
             self.access_log = AccessLog(server=self.name)
         return self.access_log
 
-    def attach_tracer(self, collector) -> None:
-        """Collect per-request spans into ``collector`` from now on."""
-        self.tracer = collector
-
-    def attach_profiler(self, profiler) -> None:
-        """Probe this node's machine resources (CPU bank + disk)."""
-        self.profiler = profiler
-        self.machine.attach_profiler(profiler)
-
-    def attach_streaming(self, streaming) -> None:
-        """Feed completed requests into windowed streaming telemetry."""
-        self.streaming = streaming
-
-    # -- span helpers (no-ops while no tracer is attached) -------------------
+    # -- root span (no-op while no tracer is attached) ----------------------
     def _trace_request(self, conn: HttpConnection):
         """Root span for one request, plus its queue-time child.
 
@@ -100,11 +81,12 @@ class BaseServer:
         covers everything up to this thread picking the connection up
         (request wire time + listen-mailbox wait + dispatch).
         """
-        if self.tracer is None:
+        tracer = self.obs.tracer
+        if tracer is None:
             return None
         now, tick = self.sim.monotonic()
         request = conn.request
-        root = self.tracer.start_trace(
+        root = tracer.start_trace(
             "request",
             node=self.name,
             start=conn.sent_at,
@@ -113,39 +95,12 @@ class BaseServer:
             kind=request.kind.value,
             client=conn.client,
         )
-        self.tracer.start_span(
+        tracer.start_span(
             "queue", parent=root, category="queue", node=self.name,
             start=conn.sent_at, tick=tick,
         ).close(now)
-        self._link_span(root)
+        self.obs.link(root)
         return root
-
-    def _link_span(self, span) -> None:
-        """Make ``span`` the ambient one for resource-probe linkage."""
-        profiler = self.profiler
-        if profiler is not None and profiler.linker is not None:
-            profiler.linker.push(self.sim, span)
-
-    def _unlink_span(self, span) -> None:
-        profiler = self.profiler
-        if profiler is not None and profiler.linker is not None:
-            profiler.linker.pop(self.sim, span)
-
-    def _span(self, parent, name: str, category: str):
-        if parent is None or self.tracer is None:
-            return None
-        now, tick = self.sim.monotonic()
-        span = self.tracer.start_span(
-            name, parent=parent, category=category, node=self.name,
-            start=now, tick=tick,
-        )
-        self._link_span(span)
-        return span
-
-    def _end_span(self, span, **attrs) -> None:
-        if span is not None:
-            span.close(self.sim.now, **attrs)
-            self._unlink_span(span)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -163,17 +118,17 @@ class BaseServer:
     # -- request-path building blocks ---------------------------------------
     # Each block takes a bare fast path when no span is being recorded
     # (``span is None`` whenever tracing is off): the try/finally frame and
-    # the ``_span`` call are pure overhead on the per-request hot path.
+    # the ``open_span`` call are pure overhead on the per-request hot path.
     def accept_cost(self, span=None) -> Generator:
         """Per-connection accept + parse CPU."""
         if span is None:
             yield self.machine.accept_and_parse()
             return
-        child = self._span(span, "accept", "cpu")
+        child = self.obs.open_span(span, "accept", "cpu", self.name)
         try:
             yield self.machine.accept_and_parse()
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
 
     def serve_static(self, request: Request, span=None) -> Generator:
         """Open/read/prepare a static file for sending."""
@@ -181,12 +136,12 @@ class BaseServer:
             yield from self.machine.serve_file(request.url, mmap=self.use_mmap)
             self.stats.files_served += 1
             return
-        child = self._span(span, "read-file", "disk")
+        child = self.obs.open_span(span, "read-file", "disk", self.name)
         try:
             yield from self.machine.serve_file(request.url, mmap=self.use_mmap)
             self.stats.files_served += 1
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
 
     def execute_cgi(self, request: Request, span=None) -> Generator:
         """fork()+exec() the CGI and run its body on this machine's CPU."""
@@ -199,7 +154,7 @@ class BaseServer:
             self.stats.cgi_executed += 1
             self.stats.exec_times.observe(request.cpu_time)
             return
-        child = self._span(span, "execute", "cpu")
+        child = self.obs.open_span(span, "execute", "cpu", self.name)
         try:
             yield self.machine.compute(
                 self.machine.costs.cgi_fork_exec_cpu * self.cgi_overhead_factor
@@ -209,7 +164,7 @@ class BaseServer:
             self.stats.cgi_executed += 1
             self.stats.exec_times.observe(request.cpu_time)
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
 
     def respond(self, conn: HttpConnection, source: str, ok: bool = True) -> HttpResponse:
         """Transmit the response body back to the client (fire-and-forget —
@@ -230,13 +185,13 @@ class BaseServer:
                 request.response_size + HTTP_RESPONSE_HEADER_BYTES
             )
             return
-        child = self._span(span, "send", "cpu")
+        child = self.obs.open_span(span, "send", "cpu", self.name)
         try:
             yield self.machine.send_bytes_cpu(
                 request.response_size + HTTP_RESPONSE_HEADER_BYTES
             )
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
 
     # -- the per-request workflow --------------------------------------------
     def handle(self, conn: HttpConnection) -> Generator:
@@ -260,9 +215,10 @@ class BaseServer:
         self.stats.requests += 1
         elapsed = self.sim.now - conn.sent_at
         self.stats.observe_response(source, elapsed)
-        if self.streaming is not None:
-            self.streaming.record(self.sim.now, self.name, source, elapsed, ok)
-        self._end_span(span, outcome=source, ok=ok)
+        streaming = self.obs.streaming
+        if streaming is not None:
+            streaming.record(self.sim.now, self.name, source, elapsed, ok)
+        self.obs.close_span(span, outcome=source, ok=ok)
         if self.access_log is not None:
             self.access_log.record(
                 conn.client, conn.sent_at, conn.request, elapsed, ok

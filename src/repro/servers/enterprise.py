@@ -35,14 +35,14 @@ class EnterpriseServer(ThreadPoolServer):
         self._open_connections = 0
 
     def accept_cost(self, span=None):
-        child = self._span(span, "accept", "cpu")
+        child = self.obs.open_span(span, "accept", "cpu", self.name)
         try:
             yield self.machine.compute(
                 self.machine.costs.accept_parse_cpu * self.accept_discount
                 + self.select_scan_cpu_per_conn * self._open_connections
             )
         finally:
-            self._end_span(child)
+            self.obs.close_span(child)
 
     def handle(self, conn):
         self._open_connections += 1

@@ -22,15 +22,9 @@ class ThreadPoolServer(BaseServer):
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
         self.n_threads = n_threads
         #: Synthetic pool probe (idle vs. handling occupancy); created by
-        #: :meth:`attach_profiler`, ``None`` keeps the loop untouched.
-        self._pool_probe = None
-
-    def attach_profiler(self, profiler) -> None:
-        super().attach_profiler(profiler)
-        if self._pool_probe is None:
-            self._pool_probe = profiler.make_probe(
-                self.sim, f"{self.name}.pool", "pool", capacity=self.n_threads
-            )
+        #: the profiler's walk in :func:`repro.obs.attach`, ``None`` keeps
+        #: the loop untouched.
+        self.pool_probe = None
 
     def start(self) -> None:
         if self._started:
@@ -44,7 +38,7 @@ class ThreadPoolServer(BaseServer):
     def _request_thread(self, tid: int):
         while True:
             msg = yield self.listen_box.get()
-            probe = self._pool_probe
+            probe = self.pool_probe
             started = probe.busy_begin() if probe is not None else 0.0
             yield self.machine.dispatch_thread()
             yield from self.handle(msg.payload)

@@ -22,7 +22,7 @@ from .pdes import (
     sim_partitions,
     using_partitions,
 )
-from .probes import EventTracer, sample
+from .probes import Instrumentation
 from .resources import ProcessorSharing, Request, Resource, Store
 from .rng import RandomStreams
 from .sync import Lock, RWLock, Semaphore
@@ -50,6 +50,5 @@ __all__ = [
     "RandomStreams",
     "Tally",
     "TimeSeries",
-    "EventTracer",
-    "sample",
+    "Instrumentation",
 ]

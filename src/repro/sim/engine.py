@@ -17,6 +17,8 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Any, Generator, Iterable, Optional
 
+from .probes import Instrumentation
+
 __all__ = [
     "Simulator",
     "Event",
@@ -406,7 +408,7 @@ class Simulator:
 
     __slots__ = (
         "_now", "_heap", "_qpush", "_seq", "_ticks", "_active_process",
-        "step_hooks", "_anon",
+        "obs", "_anon",
     )
 
     def __init__(self):
@@ -419,9 +421,9 @@ class Simulator:
         self._seq: int = 0
         self._ticks: int = 0
         self._active_process: Optional[Process] = None
-        #: Callables invoked as ``hook(time, event)`` after each processed
-        #: event — observability taps (see :mod:`repro.sim.probes`).
-        self.step_hooks: list = []
+        #: The collectors observing this simulation (all off by default);
+        #: see :mod:`repro.sim.probes` and :func:`repro.obs.attach`.
+        self.obs = Instrumentation(self)
         #: Per-prefix counters behind :meth:`autoname`.
         self._anon: dict = {}
 
@@ -538,10 +540,6 @@ class Simulator:
         for callback in callbacks:
             callback(event)
 
-        if self.step_hooks:
-            for hook in self.step_hooks:
-                hook(self._now, event)
-
         if not event._ok and not event._defused:
             # Nobody handled the failure: crash the simulation.
             raise event._value
@@ -557,7 +555,6 @@ class Simulator:
         may arrive by cross-shard injection before the next one.
         """
         heap = self._heap
-        hooks = self.step_hooks
         processed = 0
         while heap and heap[0][0] < horizon:
             self._now, _, _, event = heappop(heap)
@@ -566,9 +563,6 @@ class Simulator:
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
-            if hooks:
-                for hook in hooks:
-                    hook(self._now, event)
             if not event._ok and not event._defused:
                 # Nobody handled the failure: crash the simulation.
                 raise event._value
@@ -606,10 +600,9 @@ class Simulator:
         # The step() loop, inlined with local bindings: this is the hottest
         # loop in the whole reproduction.  Must stay behaviorally identical
         # to step() — same (time, priority, sequence) pop order, same
-        # callback/hook/failure sequence.  ``heappop`` signals exhaustion
+        # callback/failure sequence.  ``heappop`` signals exhaustion
         # with IndexError (cost-free in the non-raising case).
         pop = partial(heappop, self._heap)
-        hooks = self.step_hooks
         try:
             while True:
                 try:
@@ -620,9 +613,6 @@ class Simulator:
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
-                if hooks:
-                    for hook in hooks:
-                        hook(self._now, event)
                 if not event._ok and not event._defused:
                     # Nobody handled the failure: crash the simulation.
                     raise event._value

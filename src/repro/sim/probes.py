@@ -1,37 +1,92 @@
-"""Observability taps for simulations.
+"""The instrumentation seam of a simulation.
 
-* :class:`EventTracer` — a bounded in-memory log of processed events
-  (debugging tool: what fired, when, in what order);
+* :class:`Instrumentation` — ``sim.obs``: the collectors observing one
+  simulation (all ``None`` when off) plus the one span helper pair the
+  instrumented request path uses;
 * :class:`SpanLinker` — per-process tracking of the innermost open
   request span, so resource probes can stamp acquisitions with the span
-  that caused them;
-* :func:`sample` — a periodic sampler process that polls any zero-argument
-  metric function into a :class:`~repro.sim.monitor.TimeSeries` (CPU load
-  curves, cache occupancy over time, queue lengths...).
+  that caused them.
+
+Both are dependency-free (no obs imports): the collectors themselves
+live in :mod:`repro.obs`, and :func:`repro.obs.attach` is what sets the
+fields.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from .engine import Event, Process, Simulator, Timeout
-from .monitor import TimeSeries
+__all__ = ["Instrumentation", "SpanLinker"]
 
-__all__ = ["EventTracer", "SpanLinker", "sample"]
+
+class Instrumentation:
+    """The collectors observing one simulation: ``sim.obs``.
+
+    Every instrumented component (servers, cachers, directory sync, the
+    network) caches this object at construction and reads its fields on
+    the request path; a field is ``None`` while that collector is off, so
+    the default path pays one ``is None`` check per hook.  The fields are
+    set by :func:`repro.obs.attach`, which may run before or after the
+    simulation starts.
+    """
+
+    __slots__ = ("sim", "tracer", "oracle", "profiler", "streaming")
+
+    def __init__(self, sim):
+        self.sim = sim
+        #: :class:`~repro.obs.TraceCollector` (request spans).
+        self.tracer = None
+        #: :class:`~repro.obs.ConsistencyOracle` (per-request audit).
+        self.oracle = None
+        #: :class:`~repro.obs.ResourceProfiler`; its ``linker`` (interval
+        #: mode only) is fed by :meth:`open_span`/:meth:`close_span`.
+        self.profiler = None
+        #: :class:`~repro.obs.StreamingTelemetry` (completion windows).
+        self.streaming = None
+
+    def open_span(self, parent, name: str, category: str, node: str):
+        """Child span of ``parent`` made the ambient one for resource
+        probes; ``None`` when tracing is off or ``parent`` is ``None``."""
+        tracer = self.tracer
+        if parent is None or tracer is None:
+            return None
+        now, tick = self.sim.monotonic()
+        span = tracer.start_span(
+            name, parent=parent, category=category, node=node,
+            start=now, tick=tick,
+        )
+        self.link(span)
+        return span
+
+    def close_span(self, span, **attrs) -> None:
+        """Close a span from :meth:`open_span` (no-op for ``None``)."""
+        if span is not None:
+            span.close(self.sim.now, **attrs)
+            self.unlink(span)
+
+    def link(self, span) -> None:
+        """Push ``span`` on the profiler's linker (interval mode only)."""
+        profiler = self.profiler
+        if profiler is not None and profiler.linker is not None:
+            profiler.linker.push(self.sim, span)
+
+    def unlink(self, span) -> None:
+        profiler = self.profiler
+        if profiler is not None and profiler.linker is not None:
+            profiler.linker.pop(self.sim, span)
 
 
 class SpanLinker:
     """Per-process stacks of open spans, keyed by the active process.
 
-    The instrumented request paths (server/cacher span helpers, network
-    hop spans) push a span when they open it and pop it when they close
-    it; a resource probe asks :meth:`current` at *submit* time to learn
-    which span an acquisition belongs to.  The submit moment matters:
-    grants, PS completions and store wakes later fire in some *other*
-    process's execution context, where the ambient span would be wrong,
-    so probes must capture the link when the claim is made and carry it
-    through themselves.
+    The instrumented request paths (the :class:`Instrumentation` span
+    helpers, network hop spans) push a span when they open it and pop it
+    when they close it; a resource probe asks :meth:`current` at *submit*
+    time to learn which span an acquisition belongs to.  The submit
+    moment matters: grants, PS completions and store wakes later fire in
+    some *other* process's execution context, where the ambient span
+    would be wrong, so probes must capture the link when the claim is
+    made and carry it through themselves.
 
     Keys are ``id(active_process)``; pushes from event-callback context
     (no active process) are ignored — the only resources claimed from
@@ -40,9 +95,8 @@ class SpanLinker:
     out-of-order closes (a span closed by a different code path than
     opened it) by removing the span wherever it sits in the stack.
 
-    Lives in the sim layer (no obs imports) next to the other
-    observability taps; the profiler owns one only while interval
-    recording is on, so the default costs nothing.
+    The profiler owns one only while interval recording is on, so the
+    default costs nothing.
     """
 
     __slots__ = ("_stacks",)
@@ -50,13 +104,13 @@ class SpanLinker:
     def __init__(self):
         self._stacks: Dict[int, List[object]] = {}
 
-    def push(self, sim: Simulator, span) -> None:
+    def push(self, sim, span) -> None:
         process = sim._active_process
         if process is None:
             return
         self._stacks.setdefault(id(process), []).append(span)
 
-    def pop(self, sim: Simulator, span) -> None:
+    def pop(self, sim, span) -> None:
         process = sim._active_process
         if process is None:
             return
@@ -74,100 +128,10 @@ class SpanLinker:
         if not stack:
             del self._stacks[key]
 
-    def current(self, sim: Simulator):
+    def current(self, sim):
         """The innermost open span of the running process, or ``None``."""
         process = sim._active_process
         if process is None:
             return None
         stack = self._stacks.get(id(process))
         return stack[-1] if stack else None
-
-
-class EventTracer:
-    """Records ``(time, event_type, detail)`` for each processed event.
-
-    Bounded (``maxlen``) so long runs cannot exhaust memory; attach/detach
-    at will.  ``detail`` is the process name for process events, else the
-    event class name.
-
-    ``collector`` optionally forwards every record to a
-    :class:`~repro.obs.TraceCollector` (its bounded engine-event ring), so
-    a span trace can carry low-level scheduling context alongside the
-    request spans.
-    """
-
-    def __init__(self, sim: Simulator, maxlen: int = 10_000,
-                 include_timeouts: bool = True, collector=None):
-        if maxlen < 1:
-            raise ValueError(f"maxlen must be >= 1, got {maxlen}")
-        self.sim = sim
-        self.include_timeouts = include_timeouts
-        self.collector = collector
-        self.records: Deque[Tuple[float, str, str]] = deque(maxlen=maxlen)
-        self.dropped = 0
-        self._attached = False
-
-    def __enter__(self) -> "EventTracer":
-        self.attach()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
-    def attach(self) -> None:
-        if self._attached:
-            raise RuntimeError("tracer already attached")
-        self.sim.step_hooks.append(self._on_step)
-        self._attached = True
-
-    def detach(self) -> None:
-        if self._attached:
-            self.sim.step_hooks.remove(self._on_step)
-            self._attached = False
-
-    def _on_step(self, now: float, event: Event) -> None:
-        if not self.include_timeouts and isinstance(event, Timeout):
-            return
-        kind = type(event).__name__
-        detail = event.name if isinstance(event, Process) else kind
-        if len(self.records) == self.records.maxlen:
-            self.dropped += 1
-        self.records.append((now, kind, detail))
-        if self.collector is not None:
-            self.collector.record_event(now, kind, detail)
-
-    def of_kind(self, kind: str):
-        return [r for r in self.records if r[1] == kind]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __repr__(self) -> str:
-        return f"<EventTracer records={len(self.records)} dropped={self.dropped}>"
-
-
-def sample(
-    sim: Simulator,
-    interval: float,
-    metric: Callable[[], float],
-    name: str = "probe",
-    until: Optional[float] = None,
-) -> TimeSeries:
-    """Start a sampler process polling ``metric()`` every ``interval``.
-
-    Returns the (live) TimeSeries immediately; it fills in as the
-    simulation runs.  ``until`` bounds the sampling horizon (the process
-    exits so ``sim.run()`` can drain).
-    """
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    series = TimeSeries(name=name, initial=float(metric()), start_time=sim.now)
-
-    def sampler():
-        while until is None or sim.now + interval <= until:
-            yield sim.timeout(interval)
-            series.record(sim.now, float(metric()))
-        return series
-
-    sim.process(sampler(), name=f"sampler-{name}")
-    return series

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.dirsync import per_filter_fp_rate
 from repro.core.protocol import DIRECTORY_UPDATE_BYTES
-from repro.obs import ConsistencyOracle
+from repro.obs import ConsistencyOracle, attach
 from repro.sim import Simulator
 from repro.workload import Request
 
@@ -241,11 +241,11 @@ class TestOracleIndicatorTagging:
     def test_attach_notes_protocol(self):
         sim, cluster = build_cluster(2, directory_protocol="bloom")
         oracle = ConsistencyOracle()
-        cluster.attach_oracle(oracle)
+        attach(cluster, oracle=oracle)
         assert oracle.indicator_protocol == "bloom"
         _, broadcast = build_cluster(2)
         oracle2 = ConsistencyOracle()
-        broadcast.attach_oracle(oracle2)
+        attach(broadcast, oracle=oracle2)
         assert oracle2.indicator_protocol is None
 
     def test_unattributed_false_hit_blamed_on_indicator(self):

@@ -16,7 +16,7 @@ import pytest
 from repro.clients import ClientFleet
 from repro.core import CacheMode, SwalaCluster, SwalaConfig
 from repro.net import Network
-from repro.obs import AUDIT_CLASSES, ConsistencyOracle
+from repro.obs import AUDIT_CLASSES, ConsistencyOracle, attach
 from repro.sim import Simulator
 from repro.workload import zipf_cgi_trace
 
@@ -43,7 +43,7 @@ def run_cluster(with_oracle=True, n_nodes=4, config=None, recipe=None):
     if with_oracle:
         oracle = ConsistencyOracle()
         oracle.new_run()
-        cluster.attach_oracle(oracle)
+        attach(cluster, oracle=oracle)
     cluster.start()
     fleet = ClientFleet(
         sim, net, zipf_cgi_trace(**(recipe or RECIPE)),

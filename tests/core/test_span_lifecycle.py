@@ -11,7 +11,7 @@ import pytest
 
 from repro.clients import ClientThread
 from repro.core import CacheMode, SwalaCluster, SwalaConfig
-from repro.obs import TraceCollector, outcome_of, request_records, TraceDump
+from repro.obs import TraceCollector, TraceDump, attach, outcome_of, request_records
 from repro.sim import Simulator
 from repro.workload import Request
 
@@ -23,7 +23,7 @@ def build(n=2, **config_kw):
     config_kw.setdefault("mode", CacheMode.COOPERATIVE)
     cluster = SwalaCluster(sim, n, SwalaConfig(**config_kw))
     collector = TraceCollector()
-    cluster.attach_tracer(collector)
+    attach(cluster, tracer=collector)
     cluster.start()
     return sim, cluster, collector
 
@@ -145,7 +145,7 @@ class TestZeroOverheadOff:
                 sim, 2, SwalaConfig(mode=CacheMode.COOPERATIVE)
             )
             if traced:
-                cluster.attach_tracer(TraceCollector())
+                attach(cluster, tracer=TraceCollector())
             cluster.start()
             t = send(sim, cluster, 0, [CGI, CGI])
             stats = cluster.stats()

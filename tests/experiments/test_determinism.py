@@ -20,9 +20,12 @@ import dataclasses
 from repro.experiments import run_figure3, run_figure4, run_table2, run_table3
 from repro.experiments.ablations import run_policy_ablation
 from repro.experiments.common import RunObserver, observe_runs
+from repro.cache import policies
 from repro.experiments.parallel import effective_jobs, fanout
 from repro.net import Network
 from repro.obs import TraceCollector
+from tests.cache.scan_policies import SCAN_POLICIES
+from tests.net.unicast import broadcast_unicast
 
 FIG3_KW = dict(n_clients=4, requests_per_client=3)
 FIG4_KW = dict(node_counts=(1, 2), scale=0.005)
@@ -61,12 +64,12 @@ def test_same_seed_identical_table3():
 
 
 def test_flattened_broadcast_matches_replicated_unicast(monkeypatch):
-    """Swapping ``Network.broadcast`` for the retained replicated-unicast
-    reference must not change experiment output at all: the flattening is
-    a pure mechanics change, not a model change."""
+    """Swapping ``Network.broadcast`` for the replicated-unicast reference
+    must not change experiment output at all: the flattening is a pure
+    mechanics change, not a model change."""
     kw = dict(node_counts=(3,), n_requests=30)
     flat = run_table3(**kw)
-    monkeypatch.setattr(Network, "broadcast", Network.broadcast_unicast)
+    monkeypatch.setattr(Network, "broadcast", broadcast_unicast)
     unicast = run_table3(**kw)
     assert flat == unicast
 
@@ -79,10 +82,12 @@ def test_same_seed_identical_policy_ablation():
     assert run_policy_ablation(**kw) == run_policy_ablation(**kw)
 
 
-def test_heap_policy_matches_scan_twin_end_to_end():
+def test_heap_policy_matches_scan_twin_end_to_end(monkeypatch):
     """A full cluster run under a heap-indexed policy equals the same run
     under its O(n) scan twin in every statistic (only the policy label
     differs) — the index changes victim *lookup*, never victim *choice*."""
+    for scan_name, cls in SCAN_POLICIES.items():
+        monkeypatch.setitem(policies._POLICIES, scan_name, cls)
     for name in ("lfu", "size"):
         (heap_row,) = run_policy_ablation(policies=(name,), **ABLATION_KW)
         (scan_row,) = run_policy_ablation(policies=(f"{name}-scan",), **ABLATION_KW)

@@ -1,18 +1,22 @@
 """Flattened broadcast vs the replicated-unicast reference.
 
 ``Network.broadcast`` drives all copies from one fan-out process;
-``Network.broadcast_unicast`` is the original one-process-per-destination
-implementation, retained precisely so this suite can assert the two are
-externally indistinguishable: per-destination delivery instants, NIC
-serialization order against competing sends, loss draws on lossy ports,
-and the ``messages_sent``/``bytes_sent``/``messages_dropped`` counters.
+:func:`tests.net.unicast.broadcast_unicast` is the original
+one-process-per-destination implementation, kept precisely so this suite
+can assert the two are externally indistinguishable: per-destination
+delivery instants, NIC serialization order against competing sends, loss
+draws on lossy ports, and the ``messages_sent``/``bytes_sent``/
+``messages_dropped`` counters.
 """
+
+from functools import partial
 
 import pytest
 
 from repro.net import Network
 from repro.obs import TraceCollector
 from repro.sim import Simulator
+from tests.net.unicast import broadcast_unicast
 
 N = 5
 SIZE = 250_000  # 0.25 s serialization at 1 MB/s: instants well separated
@@ -59,7 +63,7 @@ def run_broadcast(
     fired = []  # (time, round, dst index, delivered?) per returned event
 
     def driver():
-        fn = net.broadcast if flat else net.broadcast_unicast
+        fn = net.broadcast if flat else partial(broadcast_unicast, net)
         for r in range(rounds):
             events = fn("src", hosts, "dir", payload=f"upd{r}", size=size)
             assert len(events) == n
@@ -156,7 +160,7 @@ class TestHopSpans:
             sim, latency=0.001, bandwidth=1e6,
             loss_rate=loss_rate, lossy_ports=lossy, loss_seed=1,
         )
-        net.tracer = TraceCollector()
+        net.obs.tracer = TraceCollector()
         return sim, net
 
     def test_broadcast_emits_one_hop_span_per_destination(self):
@@ -164,10 +168,10 @@ class TestHopSpans:
         hosts = ["h0", "h1", "h2"]
         for h in hosts:
             net.register(h, "dir")
-        root = net.tracer.start_trace("update", node="src", start=sim.now)
+        root = net.obs.tracer.start_trace("update", node="src", start=sim.now)
         net.broadcast("src", hosts, "dir", payload="u", size=1000, parent=root)
         sim.run()
-        hops = [s for s in net.tracer.spans if s.name.startswith("hop:")]
+        hops = [s for s in net.obs.tracer.spans if s.name.startswith("hop:")]
         assert [s.name for s in hops] == [f"hop:src->{h}" for h in hosts]
         for s in hops:
             assert s.parent_id == root.span_id
@@ -180,10 +184,10 @@ class TestHopSpans:
     def test_dropped_copy_span_is_closed_and_flagged(self):
         sim, net = self._traced_net(loss_rate=0.999, lossy=("dir",))
         net.register("h0", "dir")
-        root = net.tracer.start_trace("update", node="src", start=sim.now)
+        root = net.obs.tracer.start_trace("update", node="src", start=sim.now)
         net.broadcast("src", ["h0"], "dir", payload="u", size=1000, parent=root)
         sim.run()
-        (hop,) = [s for s in net.tracer.spans if s.name.startswith("hop:")]
+        (hop,) = [s for s in net.obs.tracer.spans if s.name.startswith("hop:")]
         assert hop.closed
         assert hop.attrs.get("dropped") is True
 
@@ -192,4 +196,4 @@ class TestHopSpans:
         net.register("h0", "dir")
         net.broadcast("src", ["h0"], "dir", payload="u", size=1000)
         sim.run()
-        assert [s for s in net.tracer.spans if s.name.startswith("hop:")] == []
+        assert [s for s in net.obs.tracer.spans if s.name.startswith("hop:")] == []

@@ -54,12 +54,12 @@ class TestLoadersTransparent:
     """Each observability loader accepts gzipped input transparently."""
 
     def test_trace_dump(self, tmp_path):
-        from repro.obs import TraceCollector, finish_span, load_jsonl
+        from repro.obs import TraceCollector, load_jsonl
 
         collector = TraceCollector()
         span = collector.start_trace("req", node="n0", start=0.0,
                                      url="/cgi/x")
-        finish_span(span, end=1.5, outcome="exec")
+        span.close(1.5, outcome="exec")
         plain = tmp_path / "t.jsonl"
         gz = tmp_path / "t.jsonl.gz"
         collector.write_jsonl(plain)

@@ -187,17 +187,6 @@ class TestSaturationDetector:
         assert tel.backlog == 19
         assert any("queue" in w.signals for w in tel.windows)
 
-    def test_queue_probe_overrides_backlog(self):
-        slo = SLO(max_queue_growth=5.0, consecutive=1, warmup_windows=0)
-        tel = StreamingTelemetry(window=1.0, slo=slo)
-        depths = iter([0.0, 100.0, 100.0])
-        tel.queue_probe = lambda: next(depths)
-        tel.new_run()
-        fed(tel, [0.1] * 8, dt=0.25)
-        tel.finalize()
-        assert tel.windows[1].queue_depth == pytest.approx(100.0)
-        assert "queue" in tel.windows[1].signals
-
     def test_no_slo_never_saturates(self):
         tel = fed(StreamingTelemetry(window=1.0), [100.0] * 20)
         tel.finalize()

@@ -8,9 +8,7 @@ from repro.obs import (
     SPAN_CATEGORIES,
     Span,
     TraceCollector,
-    finish_span,
     load_jsonl,
-    start_child,
 )
 
 
@@ -79,19 +77,9 @@ class TestCollectorBounds:
         spans[4].close(1.0)
         assert spans[4].duration == 1.0
 
-    def test_event_ring_exact_drop_accounting(self):
-        col = TraceCollector(max_events=4)
-        for i in range(10):
-            col.record_event(float(i), "Timeout", "t")
-        assert len(col.events) == 4
-        assert col.events_dropped == 6
-        assert [t for t, _, _ in col.events] == [6.0, 7.0, 8.0, 9.0]
-
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             TraceCollector(max_spans=0)
-        with pytest.raises(ValueError):
-            TraceCollector(max_events=0)
 
     def test_new_run_stamps_spans(self):
         col = TraceCollector()
@@ -126,12 +114,11 @@ class TestJsonl:
         root = col.start_trace("req", node="n0", start=0.0, url="/x")
         col.start_span("accept", parent=root, category="cpu", start=0.1).close(0.2)
         root.close(1.0, outcome="exec")
-        col.record_event(0.5, "Timeout", "t")
         path = tmp_path / "deep" / "dir" / "trace.jsonl"
         col.write_jsonl(path)  # creates parents
         dump = load_jsonl(path)
         assert len(dump) == 2
-        assert dump.events == [(0.5, "Timeout", "t")]
+        assert dump.events == []
         loaded_root = next(s for s in dump.spans if s.parent_id is None)
         assert loaded_root.attrs["outcome"] == "exec"
 
@@ -160,27 +147,3 @@ class TestJsonl:
         path.write_text('{"type":"mystery"}\n')
         with pytest.raises(ValueError):
             load_jsonl(path)
-
-
-class TestNoOpHelpers:
-    def test_start_child_none_tracer(self):
-        assert start_child(None, None, "x", category="cpu", node="n",
-                           clock=(0.0, 0)) is None
-
-    def test_start_child_none_parent(self):
-        col = TraceCollector()
-        assert start_child(col, None, "x", category="cpu", node="n",
-                           clock=(0.0, 0)) is None
-        assert len(col) == 0
-
-    def test_finish_span_tolerates_none(self):
-        finish_span(None, 1.0)  # no-op, no raise
-
-    def test_start_child_real(self):
-        col = TraceCollector()
-        root = col.start_trace("r", node="n", start=0.0)
-        child = start_child(col, root, "x", category="disk", node="n",
-                            clock=(0.5, 7))
-        finish_span(child, 0.9, ok=True)
-        assert child.tick == 7
-        assert child.duration == pytest.approx(0.4)

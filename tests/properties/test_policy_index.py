@@ -12,7 +12,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cache import SCAN_POLICY_NAMES, CacheEntry, make_policy
+from repro.cache import CacheEntry, make_policy
+from tests.cache.scan_policies import SCAN_POLICIES, make_scan_policy
 
 INDEXED = ("lfu", "size", "cost", "fifo")
 
@@ -39,7 +40,7 @@ ops = st.lists(
 def drive(name, operations):
     """Run one op sequence through a heap policy and its scan twin."""
     heap = make_policy(name)
-    scan = make_policy(f"{name}-scan")
+    scan = make_scan_policy(name)
     tracked = {}
     for op, url, size, exec_time, t in operations:
         if op == "insert":
@@ -107,15 +108,18 @@ class TestHeapMatchesScan:
 
 class TestDirected:
     def test_scan_registry(self):
-        assert set(SCAN_POLICY_NAMES) == {f"{n}-scan" for n in INDEXED}
-        for name in SCAN_POLICY_NAMES:
-            assert make_policy(name).name == name
+        assert set(SCAN_POLICIES) == {f"{n}-scan" for n in INDEXED}
+        for name in INDEXED:
+            assert make_scan_policy(name).name == f"{name}-scan"
+            assert make_scan_policy(name)._key.__func__ is (
+                make_policy(name)._key.__func__
+            )
 
     @pytest.mark.parametrize("name", INDEXED)
     def test_url_breaks_exact_key_tie(self, name):
         """Identical keys on every dimension -> lexicographically smallest URL."""
         heap = make_policy(name)
-        scan = make_policy(f"{name}-scan")
+        scan = make_scan_policy(name)
         entries = [
             CacheEntry(url=u, owner="n0", size=64, exec_time=1.0, created=0.0)
             for u in ("/b", "/c", "/a")

@@ -1,8 +1,19 @@
-"""Tests for observability taps: EventTracer and the periodic sampler."""
+"""Tests for the instrumentation seam: ``sim.obs`` and ``repro.obs.attach``."""
 
 import pytest
 
-from repro.sim import EventTracer, ProcessorSharing, Simulator, sample
+from repro.core import CacheMode, SwalaCluster, SwalaConfig, SwalaServer
+from repro.hosts import Machine
+from repro.net import Network
+from repro.obs import (
+    ConsistencyOracle,
+    ResourceProfiler,
+    StreamingTelemetry,
+    TraceCollector,
+    attach,
+)
+from repro.servers import NcsaHttpd
+from repro.sim import Instrumentation, Simulator
 
 
 @pytest.fixture
@@ -10,178 +21,140 @@ def sim():
     return Simulator()
 
 
-class TestEventTracer:
-    def test_records_processed_events(self, sim):
-        tracer = EventTracer(sim)
-        tracer.attach()
+class TestInstrumentation:
+    def test_off_by_default(self, sim):
+        obs = sim.obs
+        assert isinstance(obs, Instrumentation)
+        assert (obs.tracer, obs.oracle, obs.profiler, obs.streaming) == (
+            None, None, None, None,
+        )
+
+    def test_open_span_none_tracer(self, sim):
+        root = TraceCollector().start_trace("r", node="n", start=0.0)
+        assert sim.obs.open_span(root, "x", "cpu", "n") is None
+
+    def test_open_span_none_parent(self, sim):
+        col = TraceCollector()
+        sim.obs.tracer = col
+        assert sim.obs.open_span(None, "x", "cpu", "n") is None
+        assert len(col) == 0
+
+    def test_close_span_tolerates_none(self, sim):
+        sim.obs.close_span(None, ok=True)  # no-op, no raise
+
+    def test_open_span_real(self, sim):
+        col = TraceCollector()
+        sim.obs.tracer = col
+        root = col.start_trace("r", node="n", start=0.0)
+        spans = []
 
         def proc():
-            yield sim.timeout(1)
-            yield sim.timeout(2)
-
-        sim.process(proc(), name="worker")
-        sim.run()
-        kinds = [r[1] for r in tracer.records]
-        assert kinds.count("Timeout") == 2
-        assert any(r[2] == "worker" for r in tracer.records)
-
-    def test_context_manager_detaches(self, sim):
-        with EventTracer(sim) as tracer:
-            def proc():
-                yield sim.timeout(1)
-
-            sim.process(proc())
-            sim.run()
-            n_inside = len(tracer)
-        # After detach, further events are not recorded.
-        def proc2():
-            yield sim.timeout(1)
-
-        sim.process(proc2())
-        sim.run()
-        assert len(tracer) == n_inside
-
-    def test_bounded_with_drop_count(self, sim):
-        tracer = EventTracer(sim, maxlen=5)
-        tracer.attach()
-
-        def proc():
-            for _ in range(20):
-                yield sim.timeout(1)
+            yield sim.timeout(0.5)
+            child = sim.obs.open_span(root, "x", "disk", "n")
+            spans.append((child, sim.ticks))
+            yield sim.timeout(0.4)
+            sim.obs.close_span(child, ok=True)
 
         sim.process(proc())
         sim.run()
-        assert len(tracer) == 5
-        assert tracer.dropped > 0
+        ((child, ticks),) = spans
+        assert child.parent_id == root.span_id
+        assert (child.category, child.node) == ("disk", "n")
+        assert child.start == 0.5
+        assert child.tick == ticks  # the clock's tie-break counter at open
+        assert child.duration == pytest.approx(0.4)
+        assert child.attrs["ok"] is True
 
-    def test_exclude_timeouts(self, sim):
-        tracer = EventTracer(sim, include_timeouts=False)
-        tracer.attach()
+    def test_spans_feed_the_profiler_linker(self, sim):
+        col = TraceCollector()
+        profiler = ResourceProfiler(record_intervals=True)
+        sim.obs.tracer = col
+        sim.obs.profiler = profiler
+        root = col.start_trace("r", node="n", start=0.0)
+        seen = []
 
         def proc():
-            yield sim.timeout(1)
+            child = sim.obs.open_span(root, "x", "cpu", "n")
+            seen.append(profiler.linker.current(sim))
+            sim.obs.close_span(child)
+            seen.append(profiler.linker.current(sim))
+            yield sim.timeout(0)
 
         sim.process(proc())
         sim.run()
-        assert tracer.of_kind("Timeout") == []
-        assert tracer.of_kind("Process")  # the process-end event
-
-    def test_double_attach_rejected(self, sim):
-        tracer = EventTracer(sim)
-        tracer.attach()
-        with pytest.raises(RuntimeError):
-            tracer.attach()
-
-    def test_bad_maxlen(self, sim):
-        with pytest.raises(ValueError):
-            EventTracer(sim, maxlen=0)
-
-    def test_timestamps_ordered(self, sim):
-        tracer = EventTracer(sim)
-        tracer.attach()
-
-        def proc(d):
-            yield sim.timeout(d)
-
-        for d in (3, 1, 2):
-            sim.process(proc(d))
-        sim.run()
-        times = [r[0] for r in tracer.records]
-        assert times == sorted(times)
-
-    def test_exact_drop_accounting(self, sim):
-        """dropped counts exactly the records evicted from the ring."""
-        bounded = EventTracer(sim, maxlen=5)
-        unbounded = EventTracer(sim)
-        bounded.attach()
-        unbounded.attach()
-
-        def proc():
-            for _ in range(20):
-                yield sim.timeout(1)
-
-        sim.process(proc())
-        sim.run()
-        total = len(unbounded.records)
-        assert len(bounded) == 5
-        assert bounded.dropped == total - 5
-        # The ring keeps the newest records, not the oldest.
-        assert list(bounded.records) == list(unbounded.records)[-5:]
-
-    def test_forwards_to_trace_collector(self, sim):
-        from repro.obs import TraceCollector
-
-        collector = TraceCollector()
-        tracer = EventTracer(sim, collector=collector)
-        tracer.attach()
-
-        def proc():
-            yield sim.timeout(1)
-            yield sim.timeout(2)
-
-        sim.process(proc(), name="worker")
-        sim.run()
-        assert list(collector.events) == list(tracer.records)
-        assert any(kind == "Timeout" for _, kind, _ in collector.events)
-
-    def test_collector_ring_bounded_independently(self, sim):
-        from repro.obs import TraceCollector
-
-        collector = TraceCollector(max_events=3)
-        tracer = EventTracer(sim, maxlen=100, collector=collector)
-        tracer.attach()
-
-        def proc():
-            for _ in range(10):
-                yield sim.timeout(1)
-
-        sim.process(proc())
-        sim.run()
-        assert tracer.dropped == 0  # EventTracer's own ring was big enough
-        assert len(collector.events) == 3
-        assert collector.events_dropped == len(tracer.records) - 3
+        assert seen[0] is not None and seen[0].name == "x"
+        assert seen[1] is None
 
 
-class TestSampler:
-    def test_samples_cpu_load_curve(self, sim):
-        cpu = ProcessorSharing(sim, ncpus=1)
+def _cluster(sim, n=2):
+    return SwalaCluster(sim, n, SwalaConfig(mode=CacheMode.COOPERATIVE))
 
-        def job():
-            yield cpu.execute(5.0)
 
-        sim.process(job())
-        sim.process(job())
-        series = sample(sim, 1.0, lambda: cpu.load, name="load", until=20.0)
-        sim.run()
-        # Two jobs of 5s each sharing 1 CPU: busy until t=10, idle after.
-        assert series.time_average(until=10.0) == pytest.approx(2.0, abs=0.3)
-        assert series.current == 0.0
+class TestAttach:
+    def test_components_share_the_simulation_seam(self, sim):
+        cluster = _cluster(sim)
+        for server in cluster.servers:
+            assert server.obs is sim.obs
+            assert server.cacher.obs is sim.obs
+            assert server.cacher.sync.obs is sim.obs
+        # A LAN joins the seam only when a cluster is attached.
+        assert cluster.network.obs is not sim.obs
+        attach(cluster)
+        assert cluster.network.obs is sim.obs
 
-    def test_until_bounds_sampler(self, sim):
-        series = sample(sim, 1.0, lambda: 7.0, until=5.0)
-        sim.run()
-        assert sim.now <= 5.0
-        assert series.points[-1][0] <= 5.0
+    def test_separate_calls_compose(self, sim):
+        cluster = _cluster(sim, n=3)
+        tracer = TraceCollector()
+        telemetry = StreamingTelemetry()
+        attach(cluster, tracer=tracer)
+        cluster.attach_streaming(telemetry)
+        assert sim.obs.tracer is tracer
+        assert sim.obs.streaming is telemetry
+        assert telemetry.n_servers == 3
 
-    def test_until_horizon_inclusive_boundary(self, sim):
-        """A sample landing exactly on ``until`` is taken; none after."""
-        series = sample(sim, 1.0, lambda: 1.0, until=3.0)
-        sim.run()
-        assert [t for t, _ in series.points] == [0.0, 1.0, 2.0, 3.0]
+    def test_cluster_walk_order(self, sim):
+        cluster = _cluster(sim)
+        profiler = ResourceProfiler()
+        attach(cluster, profiler=profiler)
+        names = [p.name for p in profiler.probes]
+        lan = [r.name for r in cluster.network.resources()]
+        assert names[:len(lan)] == lan
+        assert names[len(lan):] == [
+            f"{node}.{suffix}"
+            for node in cluster.node_names
+            for suffix in ("cpu", "disk", "pool")
+        ]
+        nodes = [node for _, node, _ in profiler.watched_locks]
+        assert set(nodes) == set(cluster.node_names)
+        assert nodes == sorted(nodes, key=cluster.node_names.index)
+        # NICs and mailboxes made after the walk are probed as they appear.
+        cluster.network.register("late", "port")
+        assert profiler.probes[-1].name == "late:port"
 
-    def test_until_horizon_fractional_interval(self, sim):
-        # until=2.0, interval=0.75: samples at .75 and 1.5; 2.25 > 2.0.
-        series = sample(sim, 0.75, lambda: 1.0, until=2.0)
-        sim.run()
-        times = [t for t, _ in series.points]
-        assert times == pytest.approx([0.0, 0.75, 1.5])
-        assert sim.now == pytest.approx(1.5)
+    def test_single_server_lan_stays_unobserved(self, sim):
+        network = Network(sim)
+        server = SwalaServer(sim, Machine(sim, "srv"), network, ["srv"],
+                             name="srv")
+        profiler = ResourceProfiler()
+        attach(server, tracer=TraceCollector(), profiler=profiler)
+        assert network.obs is not sim.obs
+        assert [p.name for p in profiler.probes] == [
+            "srv.cpu", "srv.disk", "srv.pool",
+        ]
+        network.register("client", "reply")
+        assert len(profiler.probes) == 3
 
-    def test_bad_interval(self, sim):
-        with pytest.raises(ValueError):
-            sample(sim, 0.0, lambda: 1.0)
+    def test_oracle_notes_indicator_protocol(self, sim):
+        cluster = SwalaCluster(sim, 2, SwalaConfig(
+            mode=CacheMode.COOPERATIVE, directory_protocol="digest",
+        ))
+        oracle = ConsistencyOracle()
+        attach(cluster, oracle=oracle)
+        assert sim.obs.oracle is oracle
+        assert oracle.indicator_protocol == "digest"
 
-    def test_initial_value_recorded(self, sim):
-        series = sample(sim, 1.0, lambda: 42.0, until=2.0)
-        assert series.points[0] == (0.0, 42.0)
-        sim.run()
+    def test_fork_server_has_no_pool_probe(self, sim):
+        server = NcsaHttpd(sim, Machine(sim, "srv"), Network(sim), name="srv")
+        profiler = ResourceProfiler()
+        attach(server, profiler=profiler)
+        assert [p.name for p in profiler.probes] == ["srv.cpu", "srv.disk"]

@@ -11,7 +11,7 @@ class TestPublicExports:
         "module, names",
         [
             ("repro.sim", ["Simulator", "RWLock", "ProcessorSharing",
-                           "RandomStreams", "Tally", "EventTracer"]),
+                           "RandomStreams", "Tally", "Instrumentation"]),
             ("repro.hosts", ["Machine", "MachineCosts", "SUN_ULTRA1"]),
             ("repro.net", ["Network", "Message", "LAN_100MBIT"]),
             ("repro.cache", ["CacheStore", "CacheEntry", "POLICY_NAMES"]),
@@ -27,7 +27,7 @@ class TestPublicExports:
             ("repro.experiments", ["run_table1", "run_figure4", "replicate"]),
             ("repro.obs", ["TraceCollector", "Span", "MetricsRegistry",
                            "request_records", "render_breakdown",
-                           "load_jsonl"]),
+                           "load_jsonl", "attach"]),
             ("repro.experiments.parallel", ["run_grid", "map_parallel"]),
         ],
     )
