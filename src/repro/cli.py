@@ -990,7 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
             "every --timeseries-dt simulated seconds into a JSONL timeline",
         )
         p.add_argument(
-            "--timeseries-dt", type=float, default=1.0, metavar="SECONDS",
+            "--timeseries-dt", type=positive_float, default=1.0,
+            metavar="SECONDS",
             help="sampling interval for --timeseries-out (default 1.0)",
         )
         p.add_argument(
@@ -1013,7 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
             "gzip when the path ends in .gz",
         )
         p.add_argument(
-            "--streaming-window", type=float, default=1.0, metavar="SECONDS",
+            "--streaming-window", type=positive_float, default=1.0,
+            metavar="SECONDS",
             help="window width for --streaming-out (default 1.0)",
         )
 
@@ -1022,6 +1024,12 @@ def build_parser() -> argparse.ArgumentParser:
         if k < 1:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
         return k
+
+    def positive_float(value):
+        x = float(value)
+        if not x > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+        return x
 
     def parallel_sim_opt(p):
         p.add_argument(
@@ -1160,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="cooperative",
     )
     p.add_argument(
-        "--window", type=float, default=1.0, metavar="SECONDS",
+        "--window", type=positive_float, default=1.0, metavar="SECONDS",
         help="telemetry window width (default 1.0)",
     )
     p.add_argument(

@@ -119,15 +119,18 @@ class RunObserver:
             sampler.add_source("oracle", oracle_series(self.oracle))
         sampler.start()
 
-    def collect(self, target) -> None:
-        """Scrape a finished server/cluster into the registry/profiler."""
+    def collect(self, target, at: Optional[float] = None) -> None:
+        """Scrape a finished server/cluster into the registry/profiler.
+
+        ``at`` pins the profiler's horizon (see :meth:`snapshot`).
+        """
         if id(target) in self._collected:
             return
         self._collected.add(id(target))
         if self.profiler is not None:
             # Flush integrals up to the run's final sim time; idempotent,
             # so finalizing earlier (stopped) runs again is harmless.
-            self.profiler.finalize()
+            self.profiler.finalize(at)
         if self.streaming is not None:
             # Close the window still open at end of run (idempotent too).
             self.streaming.finalize()
@@ -144,127 +147,71 @@ class RunObserver:
         if network is not None:
             collect_network(self.registry, network)
 
-    def collect_all(self) -> None:
+    def collect_all(self, at: Optional[float] = None) -> None:
         """Scrape every attached-but-not-yet-collected target.
 
         Stats objects are cumulative, so scraping once when the command
         finishes is equivalent to scraping right after each run.
         """
         for target in list(self.targets):
-            self.collect(target)
+            self.collect(target, at)
 
     # -- snapshot / merge --------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
+    def snapshot(self, horizon: Optional[float] = None) -> Dict[str, Any]:
         """Picklable snapshots of every mergeable collector.
 
-        Finalizes first (via :meth:`collect_all`), so a ``--jobs`` worker
-        can run its cells to completion, snapshot, and ship the bundle
-        back over the pool result channel.  The oracle is deliberately
-        absent: it audits global event order and cannot be sharded.
+        Collects first (:meth:`collect_all`), so a ``--jobs`` worker or
+        a PDES shard can run to completion, snapshot, and ship the
+        bundle back for :meth:`merge`.  A shard passes ``horizon``, the
+        coordinator's global terminal time: shard simulators overshoot
+        the run's end by up to one conservative window, so probe
+        integrals freeze and time-series samples stop at the shared
+        horizon instead of the shard's own final clock.  The oracle is
+        deliberately absent: it audits global event order and cannot be
+        sharded.
         """
-        self.collect_all()
+        self.collect_all(at=horizon)
+        if horizon is not None and self.timeseries is not None:
+            self.timeseries.trim(horizon)
+        collectors = {
+            "tracer": self.tracer,
+            "registry": self.registry,
+            "timeseries": self.timeseries,
+            "profiler": self.profiler,
+            "streaming": self.streaming,
+        }
         return {
-            "tracer": self.tracer.snapshot() if self.tracer else None,
-            "registry": self.registry.snapshot() if self.registry else None,
-            "timeseries":
-                self.timeseries.snapshot() if self.timeseries else None,
-            "profiler": self.profiler.snapshot() if self.profiler else None,
-            "streaming":
-                self.streaming.snapshot() if self.streaming else None,
+            name: collector.snapshot() if collector is not None else None
+            for name, collector in collectors.items()
         }
 
-    def shard_snapshot(self, horizon: Optional[float] = None) -> Dict[str, Any]:
-        """Like :meth:`snapshot`, but for a PDES shard's local observer.
+    def merge(self, snaps: Sequence[Optional[Dict[str, Any]]]) -> None:
+        """Fold :meth:`snapshot` bundles onto this observer.
 
-        ``horizon`` is the coordinator's global terminal time: shard
-        simulators overshoot the run's end by up to one conservative
-        window, so probe integrals are frozen at the shared horizon
-        instead of each shard's own final clock.
+        The bundles start at this observer's current runs: ``--jobs``
+        merges each worker cell alone, in cell order, so its runs become
+        the next runs (reproducing the serial sweep's numbering); a
+        partitioned run merges all its shards at once, in shard-id
+        order, into one run.  Span ids are offset past those already
+        assigned, and profiler intervals get the same offsets as their
+        spans.
         """
-        if self.profiler is not None:
-            self.profiler.finalize(at=horizon)
-        if self.streaming is not None:
-            self.streaming.finalize()
-        return {
-            "tracer": self.tracer.snapshot() if self.tracer else None,
-            "registry": None,  # scraped parent-side from the merged view
-            "timeseries":
-                self.timeseries.snapshot() if self.timeseries else None,
-            "profiler": self.profiler.snapshot() if self.profiler else None,
-            "streaming":
-                self.streaming.snapshot() if self.streaming else None,
-        }
+        snaps = [snap for snap in snaps if snap is not None]
 
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold one worker's :meth:`snapshot` onto this observer.
+        def parts(name):
+            return [snap[name] for snap in snaps if snap[name] is not None]
 
-        Sequential-concatenation semantics: the worker's runs become the
-        next runs of this observer, with trace/span ids offset past the
-        ids already assigned here — folding worker bundles in cell order
-        reproduces the serial sweep's numbering exactly.
-        """
-        trace_off = span_off = 0
-        if self.tracer is not None and snap.get("tracer") is not None:
-            trace_off, span_off = self.tracer.merge_snapshot(snap["tracer"])
-        if self.registry is not None and snap.get("registry") is not None:
-            self.registry.merge_snapshot(snap["registry"])
-        if self.timeseries is not None and snap.get("timeseries") is not None:
-            self.timeseries.merge_snapshot(snap["timeseries"])
-        if self.profiler is not None and snap.get("profiler") is not None:
-            self.profiler.merge_snapshot(
-                snap["profiler"],
-                trace_offset=trace_off, span_offset=span_off,
-            )
-        if self.streaming is not None and snap.get("streaming") is not None:
-            self.streaming.merge_snapshot(snap["streaming"])
-
-    def merge_shard_snapshots(
-        self,
-        snaps: Sequence[Optional[Dict[str, Any]]],
-        horizon: Optional[float] = None,
-        n_servers: Optional[int] = None,
-    ) -> None:
-        """Fold per-shard snapshots of ONE partitioned simulation.
-
-        Unlike :meth:`merge_snapshot`, every shard lands in the *same*
-        merged run (they are slices of one simulation): each collector's
-        current run count is the fixed base for all shards, and shards
-        fold in shard-id order so ids and export order are deterministic.
-        ``horizon`` trims shard overshoot from the time series;
-        ``n_servers`` is the full cluster size for the streaming ρ.
-        """
-        snaps = [s for s in snaps if s is not None]
-        if not snaps:
-            return
-        offsets = [(0, 0)] * len(snaps)
+        offsets = None
         if self.tracer is not None:
-            base = self.tracer.run
-            offsets = [
-                self.tracer.merge_snapshot(snap["tracer"], run_base=base)
-                if snap.get("tracer") is not None else (0, 0)
-                for snap in snaps
-            ]
-        if self.profiler is not None:
-            base = self.profiler.run
-            for snap, (toff, soff) in zip(snaps, offsets):
-                if snap.get("profiler") is not None:
-                    self.profiler.merge_snapshot(
-                        snap["profiler"], run_base=base,
-                        trace_offset=toff, span_offset=soff,
-                    )
+            offsets = self.tracer.merge(parts("tracer"))
+        if self.registry is not None:
+            self.registry.merge(parts("registry"))
         if self.timeseries is not None:
-            base = self.timeseries.run
-            for snap in snaps:
-                if snap.get("timeseries") is not None:
-                    self.timeseries.merge_snapshot(
-                        snap["timeseries"], run_base=base, horizon=horizon,
-                    )
+            self.timeseries.merge(parts("timeseries"))
+        if self.profiler is not None:
+            self.profiler.merge(parts("profiler"), offsets)
         if self.streaming is not None:
-            self.streaming.merge_shard_snapshots(
-                [snap["streaming"] for snap in snaps
-                 if snap.get("streaming") is not None],
-                n_servers=n_servers,
-            )
+            self.streaming.merge(parts("streaming"))
 
     def critical_records(self):
         """Per-request blame decompositions (``--critical-out``).
@@ -490,11 +437,7 @@ def partitioned_observed_run(
         host_prefix=host_prefix,
     )
     if observer is not None:
-        observer.merge_shard_snapshots(
-            view.obs_snapshots,
-            horizon=view.terminal_time,
-            n_servers=n_nodes,
-        )
+        observer.merge(view.obs_snapshots)
         observer.collect(view)
     return times, view
 
@@ -519,7 +462,7 @@ def run_cluster_trace(
     same workload, same timeline, merged results.  Observed runs take
     the partitioned path too: each shard carries its own collectors and
     the snapshots merge deterministically (see
-    :meth:`RunObserver.merge_shard_snapshots`).  Only the consistency
+    :meth:`RunObserver.merge`).  Only the consistency
     oracle (``--audit-out``) still forces the serial path, with a
     warning.
     """

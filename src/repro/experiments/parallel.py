@@ -226,6 +226,6 @@ def fanout(
     )
     results = []
     for result, snap in pairs:
-        observer.merge_snapshot(snap)
+        observer.merge([snap])
         results.append(result)
     return results

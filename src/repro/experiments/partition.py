@@ -131,7 +131,7 @@ def build_fleet_shard(
     def finalize(horizon: Optional[float] = None) -> Dict[str, Any]:
         return {
             "obs": (
-                observer.shard_snapshot(horizon)
+                observer.snapshot(horizon)
                 if observer is not None else None
             ),
             "threads": [(i, t.response_times) for i, t in threads],
@@ -278,7 +278,7 @@ def run_partitioned_fleet(
     carries the raw per-shard snapshots as ``view.obs_snapshots`` (in
     shard-id order) plus the coordinator's global terminal time as
     ``view.terminal_time`` — the caller folds them into its live
-    observer with :meth:`RunObserver.merge_shard_snapshots`.
+    observer with :meth:`RunObserver.merge`.
     """
     if n_nodes < 2:
         raise ValueError("partitioned runs need at least 2 nodes")

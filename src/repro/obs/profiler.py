@@ -579,46 +579,43 @@ class ResourceProfiler:
             "intervals_dropped": self.intervals_dropped,
         }
 
-    def merge_snapshot(
+    def merge(
         self,
-        snap: Dict[str, Any],
-        run_base: Optional[int] = None,
-        trace_offset: int = 0,
-        span_offset: int = 0,
+        snaps: Sequence[Dict[str, Any]],
+        offsets: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
-        """Fold another profiler's :meth:`snapshot` into this one.
+        """Fold profilers' snapshots (:meth:`snapshot`) into this one.
 
-        ``run_base`` maps snapshot run ``r`` to ``run_base + r`` (same
-        convention as :meth:`TraceCollector.merge_snapshot`: default
-        concatenates runs, shard merges pass one fixed base).
-        ``trace_offset``/``span_offset`` must be the id offsets the
-        tracer merge applied to the same shard's spans, so interval
-        records keep joining to their spans in the critical-path
-        analyzer.
+        Runs map as in :meth:`TraceCollector.merge`: snapshot run ``r``
+        lands on ``self.run + r``.  ``offsets`` must be the per-snapshot
+        ``(trace_offset, span_offset)`` pairs the tracer merge applied to
+        the same snapshots' spans, so interval records keep joining to
+        their spans in the critical-path analyzer.
         """
-        if run_base is None:
-            run_base = self.run
-        for entry in snap["resources"]:
-            entry = dict(entry)
-            entry["run"] += run_base
-            self._merged_resources.append(entry)
-        for row in snap["locks"]:
-            row = dict(row)
-            row["run"] += run_base
-            self._merged_locks.append(row)
-        for record in snap["intervals"]:
-            record = dict(record)
-            record["run"] += run_base
-            record["trace"] += trace_offset
-            record["span"] += span_offset
-            if len(self._merged_intervals) + len(self.intervals) \
-                    >= self.max_intervals:
-                self.intervals_dropped += 1
-            else:
-                self._merged_intervals.append(record)
-        self.dropped += snap["dropped"]
-        self.intervals_dropped += snap["intervals_dropped"]
-        self.run = max(self.run, run_base + snap["run"])
+        base = self.run
+        offsets = offsets or [(0, 0)] * len(snaps)
+        for snap, (trace_off, span_off) in zip(snaps, offsets):
+            for entry in snap["resources"]:
+                entry = dict(entry)
+                entry["run"] += base
+                self._merged_resources.append(entry)
+            for row in snap["locks"]:
+                row = dict(row)
+                row["run"] += base
+                self._merged_locks.append(row)
+            for record in snap["intervals"]:
+                record = dict(record)
+                record["run"] += base
+                record["trace"] += trace_off
+                record["span"] += span_off
+                if len(self._merged_intervals) + len(self.intervals) \
+                        >= self.max_intervals:
+                    self.intervals_dropped += 1
+                else:
+                    self._merged_intervals.append(record)
+            self.dropped += snap["dropped"]
+            self.intervals_dropped += snap["intervals_dropped"]
+            self.run = max(self.run, base + snap["run"])
 
     # -- export -----------------------------------------------------------
     def _lock_stats(self) -> List[Dict[str, Any]]:

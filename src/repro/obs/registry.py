@@ -367,15 +367,15 @@ class MetricsRegistry:
             metrics.append(entry)
         return {"metrics": metrics}
 
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
+    def merge(self, snaps: Sequence[Dict[str, Any]]) -> None:
+        """Fold registries' snapshots (:meth:`snapshot`) into this one.
 
         Counters and histogram bucket counts/sums are added; gauges take
         the snapshot's value (last writer wins, in merge order).  The
         merge is associative and, for counters and histograms,
         insensitive to the order snapshots are folded in.
         """
-        for entry in snap["metrics"]:
+        for entry in (e for snap in snaps for e in snap["metrics"]):
             name = entry["name"]
             labelnames = tuple(entry["labelnames"])
             if entry["type"] == "counter":

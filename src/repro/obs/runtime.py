@@ -79,7 +79,8 @@ def attach(target, tracer=None, oracle=None, profiler=None,
     if streaming is not None:
         obs.streaming = streaming
         if network is not None:
-            streaming.n_servers = len(servers)
+            # The full cluster size: a PDES shard holds only some nodes.
+            streaming.n_servers = len(target.node_names)
 
 _OBSERVER: Optional[object] = None
 

@@ -643,7 +643,10 @@ class StreamingTelemetry:
         self.max_windows = max_windows
         self.windows: List[StreamingWindow] = []
         self.run = 0
+        #: ρ's server count: the full cluster size of the run observed
+        #: now (set at attach), and per run for windows already settled.
         self.n_servers = 1
+        self.servers: Dict[int, int] = {}
         self.rate_ewma = EwmaRate(ewma_halflife or 3.0 * self.window)
         self.latency_ewma = EwmaRate(ewma_halflife or 3.0 * self.window)
         self.dropped = 0
@@ -735,9 +738,18 @@ class StreamingTelemetry:
     def _close(self, window: StreamingWindow) -> None:
         if window.closed:
             return
+        window.queue_depth = float(self._arrivals - self._completions)
+        self._settle(window)
+
+    def _settle(self, window: StreamingWindow) -> None:
+        """Derive a window's growth, ρ and SLO signals from its counts
+        and queue depth, advance the EWMAs and the flagged streak, and
+        keep it.  The live close and the merge replay both end here, so
+        a replayed window settles exactly as it did when first closed.
+        """
         window.closed = True
-        depth = float(self._arrivals - self._completions)
-        window.queue_depth = depth
+        self.servers[window.run] = self.n_servers
+        depth = window.queue_depth
         window.queue_growth = depth - self._last_depth
         self._last_depth = depth
         lam = window.rate
@@ -748,7 +760,7 @@ class StreamingTelemetry:
         if window.completions:
             self.latency_ewma.update(mean, window.width)
         slo = self.slo
-        signals = window.signals
+        signals = window.signals = []
         if window.completions and window.p99 > slo.p99_latency:
             signals.append("p99")
         if window.rho > slo.max_rho:
@@ -790,114 +802,57 @@ class StreamingTelemetry:
         """
         return {
             "windows": [w.to_state() for w in self.windows],
+            "servers": dict(self.servers),
             "run": self.run,
             "dropped": self.dropped,
             "gap_windows_skipped": self.gap_windows_skipped,
         }
 
-    def merge_snapshot(
-        self, snap: Dict[str, Any], run_base: Optional[int] = None
-    ) -> None:
-        """Concatenate another telemetry's :meth:`snapshot` runs onto
-        this one's — the ``--jobs`` case, where each worker cell is a
-        later run of the same sweep.  Windows round-trip exactly, so the
-        merged export is byte-identical to the serial sweep's."""
-        if run_base is None:
-            run_base = self.run
-        for state in snap["windows"]:
-            window = StreamingWindow.from_state(state)
-            window.run += run_base
-            if len(self.windows) < self.max_windows:
-                self.windows.append(window)
-            else:
-                self.dropped += 1
-        self.dropped += snap["dropped"]
-        self.gap_windows_skipped += snap["gap_windows_skipped"]
-        self.run = max(self.run, run_base + snap["run"])
+    def merge(self, snaps: Sequence[Dict[str, Any]]) -> None:
+        """Fold telemetries' snapshots (:meth:`snapshot`) into this one.
 
-    def merge_shard_snapshots(
-        self,
-        snaps: Sequence[Dict[str, Any]],
-        run_base: Optional[int] = None,
-        n_servers: Optional[int] = None,
-    ) -> None:
-        """Fold per-shard snapshots of ONE partitioned simulation.
-
-        Same-index windows from different shards are merged with
-        :meth:`StreamingWindow.merge` (counts, sums and digests are
-        associative), except queue depth, which is *summed* — each shard
-        tracks its own arrival/completion backlog, and backlogs add.
-        Queue growth, ρ (against the full-cluster ``n_servers``, not a
-        shard's share) and SLO signals are then recomputed in window
-        order, replaying the same streak logic a serial close sequence
-        runs.  Counts are exact; merged digest quantiles (and hence a
-        ``p99_latency`` SLO) are sketch-path-dependent and may differ
-        slightly from the serial sketch.
+        Every snapshot's run ``r`` lands on ``self.run + r`` (the run
+        count at call time): a ``--jobs`` cell merged alone becomes the
+        next runs, and the shards of one partitioned simulation, merged
+        together, share one run.  Same-index windows from different
+        shards merge with :meth:`StreamingWindow.merge` (counts, sums
+        and digests are associative), except queue depth, which is
+        *summed* — each shard tracks its own backlog, and backlogs add.
+        Every window is then settled again in ``(run, index)`` order
+        against its run's server count, replaying the close sequence a
+        serial run goes through: a lone snapshot merges into an empty
+        telemetry byte-identically.  Counts are exact; merged digest
+        quantiles (and hence a ``p99_latency`` SLO) are
+        sketch-path-dependent and may differ slightly from the serial
+        sketch.
         """
-        if run_base is None:
-            run_base = self.run
-        if n_servers is not None:
-            self.n_servers = n_servers
+        base = self.run
+        servers: Dict[int, int] = {}
         by_key: Dict[Tuple[int, int], StreamingWindow] = {}
-        max_run = 0
         for snap in snaps:
-            max_run = max(max_run, snap["run"])
+            servers.update(snap["servers"])
             self.dropped += snap["dropped"]
             self.gap_windows_skipped += snap["gap_windows_skipped"]
+            self.run = max(self.run, base + snap["run"])
             for state in snap["windows"]:
                 window = StreamingWindow.from_state(state)
                 key = (window.run, window.index)
                 cur = by_key.get(key)
-                if cur is None:
-                    by_key[key] = window
-                else:
+                if cur is not None:
                     depth = cur.queue_depth + window.queue_depth
-                    merged = cur.merge(window)
-                    merged.run = cur.run
-                    merged.queue_depth = depth
-                    merged.closed = True
-                    by_key[key] = merged
-        # Second pass, in window order: growth, rho, signals, streaks.
-        self.reset_saturation()
-        servers = max(1, self.n_servers)
-        last_run: Optional[int] = None
-        last_depth = 0.0
+                    window = cur.merge(window)
+                    window.queue_depth = depth
+                by_key[key] = window
+        run = None
         for key in sorted(by_key):
             window = by_key[key]
-            if window.run != last_run:
-                last_run = window.run
-                last_depth = 0.0
-                self._streak = 0
-            window.queue_growth = window.queue_depth - last_depth
-            last_depth = window.queue_depth
-            lam = window.rate
-            window.rho = (
-                lam * window.mean_latency / servers if window.completions else 0.0
-            )
-            self.rate_ewma.update(lam, window.width)
-            if window.completions:
-                self.latency_ewma.update(window.mean_latency, window.width)
-            slo = self.slo
-            window.signals = []
-            if window.completions and window.p99 > slo.p99_latency:
-                window.signals.append("p99")
-            if window.rho > slo.max_rho:
-                window.signals.append("rho")
-            if window.queue_growth > slo.max_queue_growth:
-                window.signals.append("queue")
-            if window.signals and window.index >= slo.warmup_windows:
-                self._streak += 1
-                if self._streak >= slo.consecutive \
-                        and self._saturated_window is None:
-                    self._saturated_window = window.index
-            else:
-                self._streak = 0
-            window.run += run_base
-            if len(self.windows) < self.max_windows:
-                self.windows.append(window)
-            else:
-                self.dropped += 1
-        self.run = max(self.run, run_base + max_run)
+            if window.run != run:
+                run = window.run
+                self.n_servers = servers[run]
+                self.reset_saturation()
+                self._last_depth = 0.0
+            window.run += base
+            self._settle(window)
 
     # -- summaries and export ----------------------------------------------
     def summary_digest(self, run: Optional[int] = None) -> TDigest:

@@ -19,7 +19,7 @@ simulation, but they carry no side effects and draw no random numbers,
 so the simulated behaviour of every other process is unchanged.  Sampled
 runs no longer force serial execution: each ``--jobs`` worker and each
 PDES shard keeps its own :class:`TimeSeriesLog` and ships a snapshot
-back for a deterministic merge (:meth:`TimeSeriesLog.merge_snapshot`).
+back for a deterministic merge (:meth:`TimeSeriesLog.merge`).
 """
 
 from __future__ import annotations
@@ -94,49 +94,46 @@ class TimeSeriesLog:
             "run": self.run,
         }
 
-    def merge_snapshot(
-        self,
-        snap: Dict[str, Any],
-        run_base: Optional[int] = None,
-        horizon: Optional[float] = None,
-    ) -> None:
-        """Fold another log's :meth:`snapshot` into this one.
+    def trim(self, horizon: float) -> None:
+        """Drop samples taken after ``horizon``.
 
-        ``run_base`` maps snapshot run ``r`` to ``run_base + r`` (default:
-        this log's current ``run``, i.e. sequential concatenation — the
-        ``--jobs`` case).  Shard merges of one partitioned run pass the
-        same fixed ``run_base`` for every shard; samples taken by
-        different shards at the same ``(run, t)`` are unioned into one
-        record, and ``horizon`` drops shard samples taken past the global
-        terminal time (shard simulators may overshoot it by up to one
-        conservative window — see :mod:`repro.sim.pdes`).
+        A PDES shard's simulator overshoots the global terminal time by
+        up to one conservative window (see :mod:`repro.sim.pdes`); its
+        log is trimmed to the coordinator's horizon before the snapshot
+        ships, so merged shards hold what a serial sampler would.
         """
-        if run_base is None:
-            run_base = self.run
-        index: Dict[Tuple[int, float], Dict[str, Any]] = {}
-        if horizon is not None:
-            # Shard merge: union same-instant samples across shards.
-            index = {(s["run"], s["t"]): s for s in self.samples}
-        for sample in snap["samples"]:
-            run = sample["run"] + run_base
-            t = sample["t"]
-            if horizon is not None and t > horizon:
-                continue
-            existing = index.get((run, t))
-            if existing is not None:
-                existing["series"].update(sample["series"])
-                continue
-            if len(self.samples) >= self.max_samples:
-                self.dropped += 1
-                continue
-            merged = {"run": run, "t": t, "series": dict(sample["series"])}
-            self.samples.append(merged)
-            if horizon is not None:
-                index[(run, t)] = merged
-        self.dropped += snap["dropped"]
-        self.run = max(self.run, run_base + snap["run"])
-        if horizon is not None:
-            self.samples.sort(key=lambda s: (s["run"], s["t"]))
+        self.samples = [s for s in self.samples if s["t"] <= horizon]
+
+    def merge(self, snaps: Sequence[Dict[str, Any]]) -> None:
+        """Fold logs' snapshots (:meth:`snapshot`) into this one.
+
+        Every snapshot's run ``r`` lands on ``self.run + r`` (the run
+        count at call time), so a ``--jobs`` cell merged alone becomes
+        the next runs, and the shards of one partitioned simulation,
+        merged together, share one run.  Samples taken at the same
+        ``(run, t)`` — by different shards — union into one record, and
+        the log stays in ``(run, t)`` order.
+        """
+        base = self.run
+        index = {(s["run"], s["t"]): s for s in self.samples}
+        for snap in snaps:
+            for sample in snap["samples"]:
+                key = (base + sample["run"], sample["t"])
+                existing = index.get(key)
+                if existing is not None:
+                    existing["series"].update(sample["series"])
+                elif len(self.samples) >= self.max_samples:
+                    self.dropped += 1
+                else:
+                    merged = {
+                        "run": key[0], "t": key[1],
+                        "series": dict(sample["series"]),
+                    }
+                    self.samples.append(merged)
+                    index[key] = merged
+            self.dropped += snap["dropped"]
+            self.run = max(self.run, base + snap["run"])
+        self.samples.sort(key=lambda s: (s["run"], s["t"]))
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .ioutil import meta_line, read_text, write_text
 
@@ -268,51 +268,46 @@ class TraceCollector:
             "next_span": self._next_span,
         }
 
-    def merge_snapshot(
-        self, snap: Dict[str, Any], run_base: Optional[int] = None
-    ) -> Tuple[int, int]:
-        """Fold another collector's :meth:`snapshot` into this one.
+    def merge(self, snaps: Sequence[Dict[str, Any]]) -> List[Tuple[int, int]]:
+        """Fold collectors' snapshots (:meth:`snapshot`) into this one.
 
-        Trace and span ids are namespaced by this collector's current
-        counters, so ``(trace_id, span_id)`` join keys stay unique — the
-        same offsets must be applied to any profiler intervals that
-        reference these spans (see ``ResourceProfiler.merge_snapshot``).
+        Every snapshot's run ``r`` lands on ``self.run + r`` (the run
+        count at call time): a ``--jobs`` cell merged alone becomes the
+        next runs of the sweep, and the shards of one partitioned
+        simulation, merged together, share one run.  Trace and span ids
+        are offset past the ids already assigned, snapshot by snapshot,
+        so ``(trace_id, span_id)`` join keys stay unique.  Span ``tick``
+        values are kept as recorded: per-simulator event counters,
+        meaningful for ordering only within one shard's run.
 
-        ``run_base`` maps the snapshot's run ``r`` to ``run_base + r``.
-        The default (this collector's current ``run``) concatenates runs
-        sequentially — correct for ``--jobs`` cell fan-out, where each
-        cell *is* a later run.  Shard merges of one partitioned
-        simulation pass the same fixed ``run_base`` for every shard so
-        all shards land in the same merged run.  Span ``tick`` values
-        are kept as recorded: per-simulator event counters, meaningful
-        for ordering only within one shard's run.
-
-        Returns the ``(trace_offset, span_offset)`` applied, so callers
-        can apply the same offsets to records that join on span ids
-        (:meth:`ResourceProfiler.merge_snapshot`).
+        Returns the ``(trace_offset, span_offset)`` applied to each
+        snapshot; records that join on span ids (profiler intervals)
+        need the same offsets (:meth:`ResourceProfiler.merge`).
         """
-        if run_base is None:
-            run_base = self.run
-        trace_off = self._next_trace - 1
-        span_off = self._next_span - 1
-        for data in snap["spans"]:
-            span = Span.from_dict(data)
-            span.trace_id += trace_off
-            span.span_id += span_off
-            if span.parent_id is not None:
-                span.parent_id += span_off
-            if "run" in span.attrs:
-                span.attrs["run"] += run_base
-            if len(self.spans) >= self.max_spans:
-                self.dropped += 1
-                span.recorded = False
-            else:
-                self.spans.append(span)
-        self.dropped += snap["dropped"]
-        self._next_trace += snap["next_trace"] - 1
-        self._next_span += snap["next_span"] - 1
-        self.run = max(self.run, run_base + snap["run"])
-        return trace_off, span_off
+        base = self.run
+        offsets = []
+        for snap in snaps:
+            trace_off = self._next_trace - 1
+            span_off = self._next_span - 1
+            offsets.append((trace_off, span_off))
+            for data in snap["spans"]:
+                span = Span.from_dict(data)
+                span.trace_id += trace_off
+                span.span_id += span_off
+                if span.parent_id is not None:
+                    span.parent_id += span_off
+                if "run" in span.attrs:
+                    span.attrs["run"] += base
+                if len(self.spans) >= self.max_spans:
+                    self.dropped += 1
+                    span.recorded = False
+                else:
+                    self.spans.append(span)
+            self.dropped += snap["dropped"]
+            self._next_trace += snap["next_trace"] - 1
+            self._next_span += snap["next_span"] - 1
+            self.run = max(self.run, base + snap["run"])
+        return offsets
 
     # -- export -----------------------------------------------------------
     def to_jsonl(self) -> str:

@@ -27,6 +27,7 @@ import pytest
 from repro.core import CacheMode
 from repro.experiments.common import RunObserver, observe_runs, run_cluster_trace
 from repro.experiments.figure3 import run_figure3
+from repro.experiments.figure4 import run_figure4
 from repro.obs import (
     MetricsRegistry,
     ResourceProfiler,
@@ -116,16 +117,30 @@ def test_partitioned_observed_exports_match_serial(tmp_path, backend):
     _assert_no_drift(serial_paths, par_paths)
 
 
-def _observed_figure3(tmp_path, label, jobs=None):
+SWEEPS = {
+    # Single-server cells: streaming ρ always divides by one server.
+    "figure3": lambda jobs: run_figure3(
+        n_clients=4, requests_per_client=3, jobs=jobs
+    ),
+    # A 1-node then a 2-node cluster: the merge replays each run's ρ
+    # against that run's own server count.
+    "figure4": lambda jobs: run_figure4(
+        node_counts=(1, 2), scale=0.005, jobs=jobs
+    ),
+}
+
+
+def _observed_sweep(tmp_path, sweep, label, jobs=None):
     observer = _full_observer()
     with observe_runs(observer):
-        run_figure3(n_clients=4, requests_per_client=3, jobs=jobs)
+        SWEEPS[sweep](jobs)
     return _write_exports(observer, tmp_path / label)
 
 
-def test_jobs_observed_exports_match_serial(tmp_path):
-    serial = _observed_figure3(tmp_path, "serial")
-    jobs = _observed_figure3(tmp_path, "jobs", jobs=4)
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_jobs_observed_exports_match_serial(tmp_path, sweep):
+    serial = _observed_sweep(tmp_path, sweep, "serial")
+    jobs = _observed_sweep(tmp_path, sweep, "jobs", jobs=4)
     # Worker snapshots concatenate in cell order: raw-record exports
     # reproduce the serial bytes exactly.
     for kind in ("trace", "timeseries", "profile", "streaming"):

@@ -18,13 +18,14 @@ below the ``repro diff`` abs threshold of 1e-9 and is documented in
 docs/observability.md.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
     ResourceProbe,
     ResourceProfiler,
+    SLO,
     StreamingTelemetry,
     TimeSeriesLog,
 )
@@ -84,8 +85,7 @@ class TestRegistryMerge:
             _apply(reg, ops, shard=shard)
             snaps.append(reg.snapshot())
         merged = MetricsRegistry()
-        for shard in order:
-            merged.merge_snapshot(snaps[shard])
+        merged.merge([snaps[shard] for shard in order])
         assert _counter_values(merged) == _counter_values(serial)
 
     @given(counter_workload())
@@ -99,13 +99,11 @@ class TestRegistryMerge:
             snaps.append(reg.snapshot())
         left = MetricsRegistry()  # ((s0 + s1) + s2) + ...
         for snap in snaps:
-            left.merge_snapshot(snap)
+            left.merge([snap])
         rest = MetricsRegistry()  # s0 + (s1 + s2 + ...)
-        for snap in snaps[1:]:
-            rest.merge_snapshot(snap)
+        rest.merge(snaps[1:])
         right = MetricsRegistry()
-        right.merge_snapshot(snaps[0])
-        right.merge_snapshot(rest.snapshot())
+        right.merge([snaps[0], rest.snapshot()])
         assert _counter_values(right) == _counter_values(left)
 
     @given(st.lists(
@@ -128,8 +126,7 @@ class TestRegistryMerge:
                     h.observe(float(value))
             snaps.append(reg.snapshot())
         merged = MetricsRegistry()
-        for shard in order:
-            merged.merge_snapshot(snaps[shard])
+        merged.merge([snaps[shard] for shard in order])
         got = merged.snapshot()["metrics"][0]["series"]
         want = serial.snapshot()["metrics"][0]["series"]
         assert got == want  # integer-valued: counts, count AND sum exact
@@ -233,11 +230,9 @@ class TestProfilerMerge:
                 "locks": [], "intervals": [], "intervals_dropped": 0,
             })
         forward = ResourceProfiler()
-        for snap in snaps:
-            forward.merge_snapshot(snap, run_base=0)
+        forward.merge(snaps)
         backward = ResourceProfiler()
-        for shard in order:
-            backward.merge_snapshot(snaps[shard], run_base=0)
+        backward.merge([snaps[shard] for shard in order])
         assert backward.to_dict() == forward.to_dict()
         assert backward.resource_count() == 2
 
@@ -309,18 +304,69 @@ class TestStreamingShardMerge:
             _feed(tele, events, shard=shard)
             snaps.append(tele.snapshot())
         merged = StreamingTelemetry(window=1.0)
-        merged.merge_shard_snapshots(
-            [snaps[shard] for shard in order], n_servers=1
-        )
+        merged.merge([snaps[shard] for shard in order])
         assert _window_fields(merged) == _window_fields(serial)
         # Balanced arrivals/completions: every backlog, serial or
         # summed-over-shards, is zero.
         assert all(w.queue_depth == 0.0 for w in merged.windows)
 
 
+@st.composite
+def multi_run_feeds(draw):
+    """Runs of (server count, requests); a request arrives at ``t`` and,
+    unless it is left in the backlog, completes ``service`` later."""
+    return draw(st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.lists(st.tuples(
+                st.integers(min_value=0, max_value=80),    # t, quarters
+                st.integers(min_value=0, max_value=12),    # service, quarters
+                st.sampled_from(OUTCOMES),
+                st.booleans(),                             # completes
+            ), min_size=1, max_size=40),
+        ),
+        min_size=2, max_size=4,
+    ))
+
+
+# Low enough that p99, rho and queue-growth signals all fire.
+REPLAY_SLO = SLO(p99_latency=1.0, max_rho=0.5, max_queue_growth=1.0,
+                 consecutive=2, warmup_windows=0)
+
+
+class TestStreamingReplay:
+    @given(multi_run_feeds())
+    @settings(max_examples=40, deadline=None)
+    def test_lone_snapshot_merge_reproduces_export(self, runs):
+        """``--jobs`` merges each worker's snapshot alone into the
+        parent: replaying it must reproduce the worker's export exactly,
+        each run's rho settled against that run's server count."""
+        assume(any(n_servers > 1 for n_servers, _ in runs))
+        tele = StreamingTelemetry(window=1.0, slo=REPLAY_SLO)
+        for n_servers, requests in runs:
+            tele.new_run()
+            tele.n_servers = n_servers
+            events = []
+            for t, service, outcome, completes in requests:
+                events.append((t, 0, 0, outcome))
+                if completes:
+                    events.append((t + service, 1, service, outcome))
+            for t, kind, service, outcome in sorted(events):
+                if kind == 0:
+                    tele.note_arrival(t / 4.0)
+                else:
+                    tele.record(t / 4.0, "swala0", outcome, service / 4.0)
+        tele.finalize()
+        assume(any(w.signals for w in tele.windows))
+        merged = StreamingTelemetry(window=1.0, slo=REPLAY_SLO)
+        merged.merge([tele.snapshot()])
+        assert merged.to_jsonl() == tele.to_jsonl()
+        assert merged.run == tele.run == len(runs)
+
+
 # --------------------------------------------------------------------------
-# Time series: shard merges union same-instant samples and trim shard
-# overshoot past the coordinator's horizon.
+# Time series: shards trim their overshoot past the coordinator's
+# horizon, and the merge unions same-instant samples.
 # --------------------------------------------------------------------------
 
 @st.composite
@@ -366,9 +412,9 @@ class TestTimeSeriesShardMerge:
             log.new_run()
             for t in times:
                 log.record(float(t), {f"node{shard}": value_at[(shard, t)]})
+            log.trim(horizon)  # shard-side, before the snapshot ships
             snaps.append(log.snapshot())
         merged = TimeSeriesLog()
-        for shard in order:
-            merged.merge_snapshot(snaps[shard], run_base=0, horizon=horizon)
+        merged.merge([snaps[shard] for shard in order])
         assert merged.samples == serial.samples
         assert merged.run == serial.run == 1

@@ -48,6 +48,18 @@ class TestParser:
             assert args.streaming_out == "w.jsonl.gz"
             assert args.streaming_window == 0.5
 
+    @pytest.mark.parametrize("cmd", [
+        ["figure3", "--timeseries-dt"],
+        ["table3", "--streaming-window"],
+        ["capacity", "--window"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_width_is_usage_error(self, capsys, cmd, value):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + [value])
+        assert exc.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
 
 class TestCapacityCommand:
     def test_tiny_search_end_to_end(self, capsys, tmp_path):
