@@ -16,8 +16,12 @@ class CacheEntry:
 
     The result body itself lives in a per-entry file on the owner node's
     filesystem (``file_path``); only this record is replicated into peer
-    directories.  Slotted: entries are minted on every insert, replica,
-    and directory update, so instance dicts are measurable overhead.
+    directories.  Slotted: entries are minted on every insert and every
+    broadcast, so instance dicts are measurable overhead.
+
+    Only the owner's store entry is mutable (:meth:`touch`, through
+    ``CacheStore.record_access``); peer tables share the broadcast's
+    read-only snapshot (:meth:`replica`).
     """
 
     url: str
@@ -38,7 +42,7 @@ class CacheEntry:
         if self.ttl <= 0:
             raise ValueError(f"TTL must be positive for {self.url!r}")
         # Intern the URL: entries for the same URL are created over and
-        # over (inserts, replicas, directory updates), and every store /
+        # over (inserts and their broadcast snapshots), and every store /
         # directory / policy structure keys on it.  Interned keys make
         # those dict hits pointer comparisons.
         self.url = sys.intern(self.url)
@@ -60,7 +64,12 @@ class CacheEntry:
         self.last_access = now
 
     def replica(self) -> "CacheEntry":
-        """A copy suitable for installing in a peer's directory table."""
+        """A read-only snapshot for peers' directory tables.
+
+        The owner takes one per insert broadcast, and every receiver
+        installs that same object, so it must not be mutated: later
+        hits on the owner touch the owner's store entry, not this copy.
+        """
         return CacheEntry(
             url=self.url,
             owner=self.owner,

@@ -271,9 +271,14 @@ class DirectorySync:
 class BroadcastSync(DirectorySync):
     """The paper's protocol: per-update async broadcast to all peers.
 
-    This class is the pre-seam :class:`CacherModule` code moved verbatim
-    — same event sequence, same span names, same oracle hooks — so the
-    default protocol stays bit-identical to every committed baseline."""
+    Same event sequence, span names and oracle hooks as the cacher had
+    before the strategy seam, so the default protocol stays
+    bit-identical to every committed baseline.
+
+    An insert carries one read-only snapshot of the owner's entry
+    (:meth:`CacheEntry.replica`), and every receiver installs that same
+    object in its peer table: N−1 tables share one record.  Peer-table
+    entries must never be mutated; only the owner's store entry is."""
 
     kind = "broadcast"
 
@@ -288,7 +293,7 @@ class BroadcastSync(DirectorySync):
     def handle_update(self, update, msg) -> Generator:
         cacher = self.cacher
         if isinstance(update, CacheInsert):
-            entry = update.entry.replica()
+            entry = update.entry
             if cacher.store.get(entry.url) is not None:
                 # We executed + cached this too: a false miss happened
                 # and the result now lives on two nodes.  (This detection

@@ -204,6 +204,10 @@ class Condition(Event):
     Subclasses express their predicate as ``_needed`` — the number of
     constituent events that must happen — so the per-event check is a
     single integer comparison instead of a callback into a closure.
+
+    Once decided, a condition lets go of its constituents (see
+    :meth:`_release`): a ``get | deadline`` that fired on ``get`` must
+    not stay reachable from the deadline still waiting in the heap.
     """
 
     __slots__ = ("_events", "_count", "_needed")
@@ -222,6 +226,8 @@ class Condition(Event):
         for event in self._events:
             if event.callbacks is None:
                 self._check(event)
+                if self._value is not PENDING:
+                    break
             else:
                 event.callbacks.append(self._check)
 
@@ -232,6 +238,7 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._release()
         elif self._count >= self._needed:
             # Only *processed* events count as "happened": Timeouts are
             # technically triggered from birth (their value is pre-set), so
@@ -239,6 +246,25 @@ class Condition(Event):
             value = _ConditionValue()
             value.events = [e for e in self._events if e.callbacks is None]
             self.succeed(value)
+            self._release()
+
+    def _release(self) -> None:
+        """Unsubscribe from every constituent still pending and drop them.
+
+        The removed callbacks would have returned at their first line,
+        so no event, tick or value changes; a constituent that fails
+        later still propagates out of :meth:`Simulator.run` unless
+        defused, exactly as when the check stayed subscribed.
+        """
+        check = self._check
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass
+        self._events = None
 
 
 class AllOf(Condition):

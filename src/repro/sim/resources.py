@@ -58,7 +58,9 @@ class Resource:
         self.capacity = capacity
         self.name = name or sim.autoname("res")
         self._users: set = set()
-        self._queue: Deque[Request] = deque()
+        #: Wait queue, made on the first wait: most resources never
+        #: queue anyone, and an empty deque already holds a 64-slot block.
+        self._queue: Optional[Deque[Request]] = None
         #: Optional :class:`repro.obs.profiler.ResourceProbe`; ``None``
         #: keeps every operation on the exact pre-profiler code path.
         self.probe = None
@@ -70,7 +72,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._queue) if self._queue else 0
 
     def request(self) -> Request:
         req = Request(self)
@@ -80,6 +82,8 @@ class Resource:
             if self.probe is not None:
                 self.probe.acquire(req)
         else:
+            if self._queue is None:
+                self._queue = deque()
             self._queue.append(req)
             if self.probe is not None:
                 self.probe.enqueue(req)
@@ -109,7 +113,7 @@ class Resource:
             self._users.remove(request)
             if self.probe is not None:
                 self.probe.release(request)
-        elif request in self._queue:
+        elif self._queue and request in self._queue:
             # Released while still waiting (cancellation).
             self._queue.remove(request)
             if self.probe is not None:
@@ -127,23 +131,27 @@ class Resource:
     def __repr__(self) -> str:
         return (
             f"<Resource {self.name!r} {len(self._users)}/{self.capacity} "
-            f"queued={len(self._queue)}>"
+            f"queued={self.queue_length}>"
         )
 
 
 class Store:
-    """Unbounded FIFO buffer; ``get`` blocks until an item is available."""
+    """Unbounded FIFO buffer; ``get`` blocks until an item is available.
+
+    Both queues are made on first use: a cluster builds a mailbox per
+    host and port, and most of them never hold an item or a getter.
+    """
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name or sim.autoname("store")
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._items: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Event]] = None
         #: Optional :class:`repro.obs.profiler.ResourceProbe`.
         self.probe = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) if self._items else 0
 
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
@@ -153,6 +161,8 @@ class Store:
             if self.probe is not None:
                 self.probe.wake(getter)
         else:
+            if self._items is None:
+                self._items = deque()
             self._items.append(item)
             if self.probe is not None:
                 self.probe.deposit()
@@ -165,6 +175,8 @@ class Store:
             if self.probe is not None:
                 self.probe.take()
         else:
+            if self._getters is None:
+                self._getters = deque()
             self._getters.append(event)
             if self.probe is not None:
                 self.probe.enqueue_getter(event)
@@ -185,6 +197,8 @@ class Store:
         Returns True if the getter was still queued.  Without this, an
         abandoned getter would silently swallow the next ``put``.
         """
+        if not self._getters:
+            return False
         try:
             self._getters.remove(get_event)
             if self.probe is not None:
@@ -194,7 +208,8 @@ class Store:
             return False
 
     def __repr__(self) -> str:
-        return f"<Store {self.name!r} items={len(self._items)} waiting={len(self._getters)}>"
+        waiting = len(self._getters) if self._getters else 0
+        return f"<Store {self.name!r} items={len(self)} waiting={waiting}>"
 
 
 class Job:

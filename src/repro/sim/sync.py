@@ -4,6 +4,9 @@ The paper's cache directory is protected by *per-table reader/writer locks*
 (its locking-granularity discussion is §4.2), so :class:`RWLock` is a first-
 class citizen here, with contention counters exposed for the locking
 ablation benchmark.
+
+Every primitive makes its wait queue on the first wait: an N-node
+cluster builds N² table locks, and most of them are never contended.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ from .engine import Event, Simulator
 __all__ = ["Lock", "Semaphore", "RWLock"]
 
 
+def _len(queue: Optional[Deque]) -> int:
+    """Length of a wait queue that may not have been made yet."""
+    return len(queue) if queue else 0
+
+
 class Lock:
     """A FIFO mutex.  ``acquire`` returns an event; ``release`` frees it."""
 
@@ -23,7 +31,7 @@ class Lock:
         self.sim = sim
         self.name = name
         self._locked = False
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
         # contention statistics
         self.acquisitions = 0
         self.contended_acquisitions = 0
@@ -45,6 +53,8 @@ class Lock:
             event.callbacks.append(
                 lambda _evt: self._note_wait(self.sim.now - start)
             )
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append(event)
         return event
 
@@ -60,7 +70,7 @@ class Lock:
             self._locked = False
 
     def __repr__(self) -> str:
-        return f"<Lock {self.name!r} locked={self._locked} waiters={len(self._waiters)}>"
+        return f"<Lock {self.name!r} locked={self._locked} waiters={_len(self._waiters)}>"
 
 
 class Semaphore:
@@ -72,7 +82,7 @@ class Semaphore:
         self.sim = sim
         self.name = name
         self._value = value
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
 
     @property
     def value(self) -> int:
@@ -84,6 +94,8 @@ class Semaphore:
             self._value -= 1
             event.succeed()
         else:
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append(event)
         return event
 
@@ -94,7 +106,7 @@ class Semaphore:
             self._value += 1
 
     def __repr__(self) -> str:
-        return f"<Semaphore {self.name!r} value={self._value} waiters={len(self._waiters)}>"
+        return f"<Semaphore {self.name!r} value={self._value} waiters={_len(self._waiters)}>"
 
 
 class RWLock:
@@ -118,7 +130,7 @@ class RWLock:
         self.name = name
         self._readers = 0
         self._writer = False
-        self._waiters: Deque[Tuple[str, Event]] = deque()
+        self._waiters: Optional[Deque[Tuple[str, Event]]] = None
         self.read_acquisitions = 0
         self.write_acquisitions = 0
         self.contended_acquisitions = 0
@@ -158,6 +170,8 @@ class RWLock:
         self.contended_acquisitions += 1
         start = self.sim.now
         event.callbacks.append(lambda _evt: self._note_wait(self.sim.now - start))
+        if self._waiters is None:
+            self._waiters = deque()
         self._waiters.append((kind, event))
 
     def _note_wait(self, waited: float) -> None:
@@ -196,5 +210,5 @@ class RWLock:
     def __repr__(self) -> str:
         return (
             f"<RWLock {self.name!r} readers={self._readers} writer={self._writer} "
-            f"waiters={len(self._waiters)}>"
+            f"waiters={_len(self._waiters)}>"
         )

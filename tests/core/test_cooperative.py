@@ -4,6 +4,8 @@ import pytest
 
 from repro.clients import ClientThread
 from repro.core import CacheMode, SwalaCluster, SwalaConfig
+from repro.experiments import GRID_MIXES
+from repro.experiments.common import run_cluster_trace
 from repro.sim import Simulator
 from repro.workload import Request
 
@@ -92,6 +94,54 @@ class TestDirectoryReplication:
             cluster.node_names[0]
         )
         assert CGI.url not in peer_view
+
+
+class TestPeerTablesShareOneSnapshot:
+    """Every receiver of an insert broadcast installs the sender's single
+    read-only snapshot; only the owner's store entry is ever mutated."""
+
+    def test_peers_hold_the_same_snapshot_not_the_store_entry(self):
+        sim, cluster = build_cluster(4)
+        send(sim, cluster, 0, [CGI])
+        sim.run(until=sim.now + 1.0)
+        owner = cluster.node_names[0]
+        store_entry = cluster.servers[0].cacher.store.get(CGI.url)
+        peer_entries = [
+            server.cacher.directory.table(owner)[CGI.url]
+            for server in cluster.servers[1:]
+        ]
+        assert all(e is peer_entries[0] for e in peer_entries)
+        assert peer_entries[0] is not store_entry
+        assert peer_entries[0] == store_entry
+
+    def test_owner_access_leaves_peer_snapshot_unchanged(self):
+        sim, cluster = build_cluster(4)
+        send(sim, cluster, 0, [CGI])
+        sim.run(until=sim.now + 1.0)
+        owner = cluster.node_names[0]
+        snapshot = cluster.servers[1].cacher.directory.table(owner)[CGI.url]
+        before = (snapshot.access_count, snapshot.last_access)
+        cluster.servers[0].cacher.store.record_access(CGI.url, sim.now + 5.0)
+        store_entry = cluster.servers[0].cacher.store.get(CGI.url)
+        assert store_entry.access_count == before[0] + 1
+        assert (snapshot.access_count, snapshot.last_access) == before
+
+    def test_grid_run_keeps_one_entry_per_insert(self):
+        mix = GRID_MIXES["webstone"]
+        _, cluster = run_cluster_trace(
+            16, CacheMode.COOPERATIVE, mix.trace(0.05, 0),
+            n_threads=16, n_hosts=8, config_kw=mix.config_kw("broadcast"),
+        )
+        peer_entries = [
+            entry
+            for server in cluster.servers
+            for node in server.cacher.directory.node_order[1:]
+            for entry in server.cacher.directory.table(node).values()
+        ]
+        inserts = cluster.stats().inserts
+        # Copying per receiver would make inserts x (N-1) objects.
+        assert len(peer_entries) > inserts
+        assert len({id(entry) for entry in peer_entries}) <= inserts
 
 
 class TestFalseHit:

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event engine core."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator, StopSimulation
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator, StopSimulation, Store
 
 
 @pytest.fixture
@@ -373,6 +376,74 @@ class TestConditions:
         sim.process(proc())
         sim.run()
         assert seen == {"has_fast": True, "has_slow": False, "value": "fast"}
+
+    def test_fired_condition_releases_its_constituents(self, sim):
+        # A get | deadline that fired on the get must not stay reachable
+        # from the deadline still waiting in the heap.
+        class Payload:
+            pass
+
+        box = Store(sim)
+        refs = []
+
+        def waiter():
+            yield box.get() | sim.timeout(30)
+
+        def producer():
+            yield sim.timeout(1)
+            payload = Payload()
+            refs.append(weakref.ref(payload))
+            box.put(payload)
+
+        sim.process(waiter())
+        sim.process(producer())
+        sim.run(until=10)
+        gc.collect()
+        assert refs[0]() is None
+        assert sim.peek() == 30  # the deadline is still pending ...
+        sim.run()
+        assert sim.now == 30  # ... and still fires
+        assert sim.ticks == 9
+
+    def test_late_failure_of_a_constituent_still_propagates(self, sim):
+        late = sim.event()
+
+        def waiter():
+            yield sim.timeout(1) | late
+
+        def breaker():
+            yield sim.timeout(5)
+            late.fail(ValueError("late"))
+
+        sim.process(waiter())
+        sim.process(breaker())
+        with pytest.raises(ValueError, match="late"):
+            sim.run()
+        assert sim.now == 5
+
+    def test_late_defused_failure_of_a_constituent_is_silent(self, sim):
+        late = sim.event()
+
+        def waiter():
+            yield sim.timeout(1) | late
+
+        def breaker():
+            yield sim.timeout(5)
+            late._defused = True
+            late.fail(ValueError("late"))
+
+        sim.process(waiter())
+        sim.process(breaker())
+        sim.run()
+        assert sim.now == 5
+
+    def test_condition_decided_at_construction_subscribes_nothing(self, sim):
+        done = sim.timeout(1)
+        pending = sim.event()
+        sim.run()
+        cond = AnyOf(sim, [done, pending])
+        assert cond.triggered
+        assert pending.callbacks == []
 
 
 class TestStepAndPeek:

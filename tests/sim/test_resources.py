@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import ProcessorSharing, Resource, Simulator, Store
+from repro.sim import Event, ProcessorSharing, Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -74,6 +74,35 @@ class TestResource:
         res.release(first)
         assert res.count == 1  # waiter promoted
         assert res.queue_length == 0
+
+    def test_fresh_resource_has_an_empty_queue(self, sim):
+        # The wait queue is only made on the first wait.
+        res = Resource(sim, capacity=1, name="nic")
+        assert res.queue_length == 0
+        assert repr(res) == "<Resource 'nic' 0/1 queued=0>"
+        with pytest.raises(RuntimeError):
+            res.release(Event(sim))
+
+    def test_fcfs_order_after_the_queue_drains(self, sim):
+        res = Resource(sim, capacity=1)
+        order = []
+
+        def proc(tag, start):
+            yield sim.timeout(start)
+            req = res.request()
+            yield req
+            order.append((tag, sim.now))
+            yield sim.timeout(1)
+            res.release(req)
+
+        for tag in "abc":
+            sim.process(proc(tag, 0))
+        for tag in "xyz":
+            sim.process(proc(tag, 10))
+        sim.run()
+        assert order == [
+            ("a", 0), ("b", 1), ("c", 2), ("x", 10), ("y", 11), ("z", 12),
+        ]
 
 
 class TestStore:
@@ -147,6 +176,38 @@ class TestStore:
         assert store.try_get() is None
         store.put(7)
         assert store.try_get() == 7
+        assert len(store) == 0
+
+    def test_fresh_store_is_empty(self, sim):
+        # Both queues are only made on first use.
+        store = Store(sim, name="box")
+        assert len(store) == 0
+        assert store.try_get() is None
+        assert store.cancel(Event(sim)) is False
+        assert repr(store) == "<Store 'box' items=0 waiting=0>"
+
+    def test_fifo_getter_order_after_the_queue_drains(self, sim):
+        store = Store(sim)
+        got = []
+
+        def consumer(tag, start):
+            yield sim.timeout(start)
+            item = yield store.get()
+            got.append((tag, item))
+
+        def producer():
+            yield sim.timeout(1)
+            store.put("a")
+            store.put("b")
+            yield sim.timeout(10)
+            store.put("c")
+            store.put("d")
+
+        for tag, start in (("first", 0), ("second", 0), ("third", 5), ("fourth", 6)):
+            sim.process(consumer(tag, start))
+        sim.process(producer())
+        sim.run()
+        assert got == [("first", "a"), ("second", "b"), ("third", "c"), ("fourth", "d")]
         assert len(store) == 0
 
 

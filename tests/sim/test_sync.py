@@ -205,6 +205,47 @@ class TestRWLock:
         sim.run()
         assert grant_times == [1, 1]
 
+    def test_fresh_primitives_report_no_waiters(self, sim):
+        # Wait queues are only made on the first wait.
+        assert repr(RWLock(sim, name="tbl")) == (
+            "<RWLock 'tbl' readers=0 writer=False waiters=0>"
+        )
+        assert repr(Lock(sim, name="mu")) == "<Lock 'mu' locked=False waiters=0>"
+        assert repr(Semaphore(sim, 2, name="sem")) == (
+            "<Semaphore 'sem' value=2 waiters=0>"
+        )
+
+    def test_fifo_grants_after_the_queue_drains(self, sim):
+        rw = RWLock(sim)
+        trace = []
+
+        def writer(tag, start):
+            yield sim.timeout(start)
+            yield rw.acquire_write()
+            trace.append((tag, sim.now))
+            yield sim.timeout(1)
+            rw.release_write()
+
+        def reader(tag, start):
+            yield sim.timeout(start)
+            yield rw.acquire_read()
+            trace.append((tag, sim.now))
+            yield sim.timeout(1)
+            rw.release_read()
+
+        sim.process(writer("w1", 0))
+        sim.process(reader("r1", 0))
+        sim.process(writer("w2", 0))
+        sim.process(writer("w3", 10))
+        sim.process(reader("r2", 10))
+        sim.process(reader("r3", 10))
+        sim.process(writer("w4", 10))
+        sim.run()
+        assert trace == [
+            ("w1", 0), ("r1", 1), ("w2", 2),
+            ("w3", 10), ("r2", 11), ("r3", 11), ("w4", 12),
+        ]
+
     def test_release_errors(self, sim):
         rw = RWLock(sim)
         with pytest.raises(RuntimeError):
