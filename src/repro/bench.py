@@ -49,9 +49,6 @@ __all__ = [
     "bench_directory_sync",
     "bench_directory_sync_digest",
     "bench_directory_sync_bloom",
-    "bench_parallel_cluster_serial",
-    "bench_parallel_cluster_pdes",
-    "bench_observed_parallel_cluster",
     "run_bench",
     "write_bench_report",
     "compare_with_snapshot",
@@ -267,77 +264,6 @@ def bench_directory_sync_bloom() -> int:
     return _directory_sync("bloom")
 
 
-def _parallel_cluster(n_shards: int) -> int:
-    """A 16-node cooperative fleet run, serial or conservatively sharded.
-
-    The workload is fixed (same trace, same cluster) so the serial/PDES
-    pair is a true A/B: their wall-clock ratio is the synchronization
-    overhead (inline backend, 1 CPU) or the speedup (process backend,
-    multicore).  The inline backend keeps the number deterministic per
-    machine class; run the process backend ad hoc via
-    ``repro table3 --parallel-sim``.
-    """
-    from .core import CacheMode
-    from .experiments.common import run_cluster_trace
-    from .sim.pdes import using_partitions
-    from .workload import zipf_cgi_trace
-
-    trace = zipf_cgi_trace(1_500, 200, zipf=0.9, cpu_time_mean=0.2, seed=11)
-    if n_shards <= 1:
-        times, _ = run_cluster_trace(16, CacheMode.COOPERATIVE, trace,
-                                     n_threads=32, n_hosts=4)
-    else:
-        with using_partitions(n_shards, "inline"):
-            times, _ = run_cluster_trace(16, CacheMode.COOPERATIVE, trace,
-                                         n_threads=32, n_hosts=4)
-    return times.count
-
-
-def bench_parallel_cluster_serial() -> int:
-    """16-node cooperative fleet, one simulator (the PDES baseline)."""
-    return _parallel_cluster(1)
-
-
-def bench_parallel_cluster_pdes() -> int:
-    """A/B twin of :func:`bench_parallel_cluster_serial`: 4 shards under
-    conservative windowed sync (inline backend)."""
-    return _parallel_cluster(4)
-
-
-def bench_observed_parallel_cluster() -> int:
-    """A/B twin of :func:`bench_parallel_cluster_pdes` with shard-local
-    telemetry on: every shard runs its own tracer/profiler/streaming
-    collectors and the parent folds their snapshots back into one
-    observer.  The delta against the unobserved twin is the full cost of
-    observing a parallel run — per-event collector overhead plus the
-    end-of-run snapshot/merge."""
-    from .core import CacheMode
-    from .experiments.common import (
-        RunObserver,
-        observe_runs,
-        run_cluster_trace,
-    )
-    from .obs import ResourceProfiler, StreamingTelemetry, TraceCollector
-    from .sim.pdes import using_partitions
-    from .workload import zipf_cgi_trace
-
-    trace = zipf_cgi_trace(1_500, 200, zipf=0.9, cpu_time_mean=0.2, seed=11)
-    observer = RunObserver(
-        tracer=TraceCollector(),
-        profiler=ResourceProfiler(),
-        streaming=StreamingTelemetry(window=1.0),
-    )
-    with using_partitions(4, "inline"):
-        with observe_runs(observer):
-            times, _ = run_cluster_trace(16, CacheMode.COOPERATIVE, trace,
-                                         n_threads=32, n_hosts=4)
-    observer.collect_all()
-    assert times.count == 1_500
-    assert observer.profiler.resource_count() > 0
-    assert observer.tracer.spans
-    return times.count
-
-
 #: name -> zero-argument workload callable returning an event count.
 BENCH_WORKLOADS: Dict[str, Callable[[], int]] = {
     "event_dispatch": bench_event_dispatch,
@@ -351,9 +277,6 @@ BENCH_WORKLOADS: Dict[str, Callable[[], int]] = {
     "directory_sync": bench_directory_sync,
     "directory_sync_digest": bench_directory_sync_digest,
     "directory_sync_bloom": bench_directory_sync_bloom,
-    "parallel_cluster_serial": bench_parallel_cluster_serial,
-    "parallel_cluster_pdes": bench_parallel_cluster_pdes,
-    "observed_parallel_cluster": bench_observed_parallel_cluster,
 }
 
 

@@ -63,11 +63,10 @@ def _export(rows, args) -> None:
 def _provenance_meta(args) -> dict:
     """The provenance manifest embedded in every ``--*-out`` export.
 
-    Records what produced the artifact — seed, directory protocol, shard
-    layout (``--parallel-sim``/``--sim-backend``/``--jobs``), a hash of
-    the full argument set, and the repro version —
-    so an export found on disk answers "which run was this?" without a
-    lab notebook.  Output paths are excluded from the hash: the same run
+    Records what produced the artifact — seed, directory protocol,
+    worker count (``--jobs``), a hash of the full argument set, and the
+    repro version — so an export found on disk answers "which run was
+    this?" without a lab notebook.  Output paths are excluded from the hash: the same run
     written to a different file must produce the same manifest (CI
     compares same-seed exports byte for byte).  No wall clock, hostname,
     or interpreter detail belongs here for the same reason.
@@ -94,8 +93,6 @@ def _provenance_meta(args) -> dict:
         "command": getattr(args, "command", None),
         "seed": getattr(args, "seed", None),
         "directory": directory,
-        "parallel_sim": getattr(args, "parallel_sim", None),
-        "sim_backend": getattr(args, "sim_backend", None) or "auto",
         "jobs": getattr(args, "jobs", None),
         "config_hash": config_hash,
     }
@@ -1019,34 +1016,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="window width for --streaming-out (default 1.0)",
         )
 
-    def positive_shards(value):
-        k = int(value)
-        if k < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
-        return k
-
     def positive_float(value):
         x = float(value)
         if not x > 0:  # also rejects nan
             raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
         return x
-
-    def parallel_sim_opt(p):
-        p.add_argument(
-            "--parallel-sim", type=positive_shards, default=None, metavar="K",
-            help="shard each cluster simulation over K simulators under "
-            "conservative (lookahead = LAN latency) synchronization; "
-            "results and observability exports match the serial run "
-            "(verify with `repro diff`); only --audit-out forces the "
-            "run back to serial",
-        )
-        p.add_argument(
-            "--sim-backend", choices=["auto", "inline", "process"],
-            default=None,
-            help="how --parallel-sim shards execute: OS processes, "
-            "in-process round-robin (inline; for equivalence checks and "
-            "single-CPU boxes), or auto per machine (default)",
-        )
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
@@ -1058,7 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
             "commands; results and observability exports are identical "
             "to a serial run; only --audit-out falls back to serial)",
         )
-        parallel_sim_opt(p)
         observability(p)
 
     p = sub.add_parser("table1", help="ADL log caching-potential analysis")
@@ -1105,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--nodes", type=int, nargs="+", default=[8, 64, 256, 1024],
-        help="cluster sizes to sweep (1024 pairs well with --parallel-sim)",
+        help="cluster sizes to sweep (default 8 64 256 1024)",
     )
     p.add_argument(
         "--protocols", nargs="+", default=["broadcast", "digest", "bloom"],
@@ -1251,7 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--clients", type=int, default=16)
     p.add_argument("--output", help="also write the report to this file")
-    parallel_sim_opt(p)
     observability(p)
     p.set_defaults(func=_cmd_run_config)
 
@@ -1448,7 +1420,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the sweep-style tables/figures",
     )
-    parallel_sim_opt(p)
     p.set_defaults(func=_cmd_all)
 
     return parser
@@ -1457,32 +1428,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "audit_out", None)
-        and getattr(args, "parallel_sim", None)
-        and getattr(args, "sim_backend", None) == "process"
-    ):
-        # Every other observer merges from shards; the consistency oracle
-        # needs the global event order, so an audited run is serial.  With
-        # the inline/auto backends we downgrade with a warning, but a user
-        # who *explicitly* asked for OS-process shards AND an audit asked
-        # for two incompatible things — refuse rather than silently ignore
-        # one of them.
-        parser.error(
-            "--audit-out cannot be combined with --sim-backend process: "
-            "the consistency oracle audits the global event order and "
-            "cannot be merged from process-isolated shards. Drop "
-            "--audit-out, or use --sim-backend inline/auto to let the "
-            "run fall back to serial (with a warning)."
-        )
-    partitions = getattr(args, "parallel_sim", None)
-    if partitions:
-        # Process-global (--jobs worker processes receive it via the pool
-        # initializer): cluster-run helpers deep inside experiment code
-        # consult it via sim_partitions().
-        from .sim.pdes import set_sim_partitions
-
-        set_sim_partitions(partitions, getattr(args, "sim_backend", None) or "auto")
     with _observability(args):
         return args.func(args)
 

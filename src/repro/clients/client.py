@@ -100,7 +100,6 @@ class ClientFleet:
         n_threads: int,
         n_hosts: int = 1,
         think_time: float = 0.0,
-        host_prefix: str = "wsclient",
     ):
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -113,13 +112,13 @@ class ClientFleet:
         parts = trace.split(n_threads)
         # Deterministic per-fleet names (not the process-global client-id
         # counter): probe/resource names derive from them, and exports
-        # must come out identical whether a sweep runs serially, across
-        # ``--jobs`` workers, or sharded over PDES partitions.
+        # must come out identical whether a sweep runs serially or across
+        # ``--jobs`` workers.
         self.threads: List[ClientThread] = [
             ClientThread(
                 sim=sim,
                 network=network,
-                host=f"{host_prefix}{i % n_hosts}",
+                host=f"wsclient{i % n_hosts}",
                 server=servers[i % len(servers)],
                 requests=parts[i],
                 think_time=think_time,

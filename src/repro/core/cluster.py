@@ -27,19 +27,10 @@ class SwalaCluster:
         costs: Optional[MachineCosts] = None,
         costs_per_node: Optional[Sequence[Optional[MachineCosts]]] = None,
         name_prefix: str = "swala",
-        nodes: Optional[Sequence[int]] = None,
     ):
         """``costs`` applies one machine profile to every node;
         ``costs_per_node`` builds a heterogeneous cluster (the paper's
         testbed mixed Ultra 1s and dual-CPU Ultra 2s).
-
-        ``nodes`` builds only that subset of the ``n_nodes`` logical
-        nodes on this simulator — the shard of a partitioned run (see
-        :mod:`repro.sim.pdes`).  Directories, peer lists, and node names
-        still span the full cluster, so each server behaves exactly as
-        it would in the monolithic build; the nodes *not* in the subset
-        are expected to live on other shards, reachable through the
-        network's router.
         """
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -52,24 +43,13 @@ class SwalaCluster:
         self.config = config or SwalaConfig()
         self.network = network or Network(sim)
         self.node_names: List[str] = [f"{name_prefix}{i}" for i in range(n_nodes)]
-        if nodes is None:
-            self.local_nodes: List[int] = list(range(n_nodes))
-        else:
-            self.local_nodes = sorted(set(nodes))
-            if not self.local_nodes:
-                raise ValueError("nodes subset is empty")
-            if self.local_nodes[0] < 0 or self.local_nodes[-1] >= n_nodes:
-                raise ValueError(
-                    f"nodes subset {self.local_nodes} out of range for "
-                    f"{n_nodes} nodes"
-                )
         node_costs = (
             list(costs_per_node) if costs_per_node is not None
             else [costs] * n_nodes
         )
         self.machines: List[Machine] = [
-            Machine(sim, self.node_names[i], node_costs[i])
-            for i in self.local_nodes
+            Machine(sim, name, node_cost)
+            for name, node_cost in zip(self.node_names, node_costs)
         ]
         self.servers: List[SwalaServer] = [
             SwalaServer(

@@ -93,7 +93,7 @@ class CountingBloomFilter:
 
     Hashing is ``zlib.crc32`` double hashing — **never** Python's
     ``hash()``, whose per-process randomization would break the
-    simulator's determinism and the serial-vs-sharded equivalence.
+    simulator's determinism and the serial-vs-``--jobs`` equivalence.
     """
 
     __slots__ = ("m", "k", "counts", "n_added")
@@ -157,6 +157,13 @@ class CountingBloomFilter:
 
     def __contains__(self, key: str) -> bool:
         return all(self.counts[i] > 0 for i in self._indexes(key))
+
+    def copy(self) -> "CountingBloomFilter":
+        """An independent filter with the same sizing and counts."""
+        twin = CountingBloomFilter.__new__(CountingBloomFilter)
+        twin.m, twin.k, twin.n_added = self.m, self.k, self.n_added
+        twin.counts = bytearray(self.counts)
+        return twin
 
     def __len__(self) -> int:
         return self.n_added
@@ -523,7 +530,8 @@ class BloomSync(_IndicatorSync):
         self.fp_rate = per_filter_fp_rate(
             config.indicator_fp_rate, max(1, len(self.peers))
         )
-        #: peer -> counting filter mirroring that peer's cache contents.
+        #: peer -> counting filter mirroring that peer's cache contents;
+        #: shared with other receivers, so never mutated in place.
         self.filters: Dict[str, CountingBloomFilter] = {}
         #: queued ("i"/"d", url) deltas awaiting the next flush.
         self.pending: List[Tuple[str, str]] = []
@@ -561,14 +569,6 @@ class BloomSync(_IndicatorSync):
     def announce_delete(self, url: str, span=None) -> Generator:
         yield from self._queue("d", url, span)
 
-    def _filter_for(self, peer: str) -> CountingBloomFilter:
-        filt = self.filters.get(peer)
-        if filt is None:
-            filt = self.filters[peer] = CountingBloomFilter(
-                self.cacher.config.cache_capacity, self.fp_rate
-            )
-        return filt
-
     def handle_update(self, update, msg) -> Generator:
         if not isinstance(update, IndicatorDeltas):  # pragma: no cover - misuse
             raise TypeError(f"unexpected update {update!r}")
@@ -576,12 +576,28 @@ class BloomSync(_IndicatorSync):
             self.machine.costs.directory_update_cpu
             + self.machine.costs.indicator_probe_cpu * max(1, len(update.ops))
         )
-        filt = self._filter_for(update.owner)
-        for op, url in update.ops:
-            if op == "i":
-                filt.add(url)
-            else:
-                filt.discard(url)
+        # Peer filters are shared and never mutated in place: every peer
+        # receives this same batch object, and peers that held the same
+        # filter for ``owner`` before it reach the same filter after it,
+        # so the first one builds it and the rest reuse it from the
+        # batch's memo.  A 1024-node cluster then keeps a few 64 KB
+        # filters per sender instead of one per (receiver, sender) pair.
+        prev = self.filters.get(update.owner)
+        key = prev if prev is not None else (
+            self.cacher.config.cache_capacity, self.fp_rate
+        )
+        filt = update.applied.get(key)
+        if filt is None:
+            filt = prev.copy() if prev is not None else CountingBloomFilter(
+                self.cacher.config.cache_capacity, self.fp_rate
+            )
+            for op, url in update.ops:
+                if op == "i":
+                    filt.add(url)
+                else:
+                    filt.discard(url)
+            update.applied[key] = filt
+        self.filters[update.owner] = filt
         self.deltas_applied += 1
         self.stats.updates_applied += 1
 

@@ -18,7 +18,7 @@ a small header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..cache import CacheEntry
 from ..workload import Request
@@ -148,6 +148,12 @@ class IndicatorDeltas:
     owner: str
     ops: Tuple[Tuple[str, str], ...] = field(default_factory=tuple)
     seq: int = 0
+    #: Receiver-side memo, not on the wire: the filter a receiver held
+    #: for ``owner`` before this batch -> that filter with the batch
+    #: applied (see :meth:`repro.core.dirsync.BloomSync.handle_update`).
+    applied: Dict[Any, Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..clients import ClientFleet, ClientThread
@@ -21,7 +21,6 @@ __all__ = [
     "observe_runs",
     "current_observer",
     "oracle_forces_serial",
-    "partitioned_observed_run",
     "single_swala",
     "run_single_server_fleet",
     "run_cluster_trace",
@@ -119,18 +118,15 @@ class RunObserver:
             sampler.add_source("oracle", oracle_series(self.oracle))
         sampler.start()
 
-    def collect(self, target, at: Optional[float] = None) -> None:
-        """Scrape a finished server/cluster into the registry/profiler.
-
-        ``at`` pins the profiler's horizon (see :meth:`snapshot`).
-        """
+    def collect(self, target) -> None:
+        """Scrape a finished server/cluster into the registry/profiler."""
         if id(target) in self._collected:
             return
         self._collected.add(id(target))
         if self.profiler is not None:
             # Flush integrals up to the run's final sim time; idempotent,
             # so finalizing earlier (stopped) runs again is harmless.
-            self.profiler.finalize(at)
+            self.profiler.finalize()
         if self.streaming is not None:
             # Close the window still open at end of run (idempotent too).
             self.streaming.finalize()
@@ -147,32 +143,25 @@ class RunObserver:
         if network is not None:
             collect_network(self.registry, network)
 
-    def collect_all(self, at: Optional[float] = None) -> None:
+    def collect_all(self) -> None:
         """Scrape every attached-but-not-yet-collected target.
 
         Stats objects are cumulative, so scraping once when the command
         finishes is equivalent to scraping right after each run.
         """
         for target in list(self.targets):
-            self.collect(target, at)
+            self.collect(target)
 
     # -- snapshot / merge --------------------------------------------------
-    def snapshot(self, horizon: Optional[float] = None) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """Picklable snapshots of every mergeable collector.
 
-        Collects first (:meth:`collect_all`), so a ``--jobs`` worker or
-        a PDES shard can run to completion, snapshot, and ship the
-        bundle back for :meth:`merge`.  A shard passes ``horizon``, the
-        coordinator's global terminal time: shard simulators overshoot
-        the run's end by up to one conservative window, so probe
-        integrals freeze and time-series samples stop at the shared
-        horizon instead of the shard's own final clock.  The oracle is
-        deliberately absent: it audits global event order and cannot be
-        sharded.
+        Collects first (:meth:`collect_all`), so a ``--jobs`` worker can
+        run to completion, snapshot, and ship the bundle back for
+        :meth:`merge`.  The oracle is deliberately absent: it audits
+        global event order and cannot be merged.
         """
-        self.collect_all(at=horizon)
-        if horizon is not None and self.timeseries is not None:
-            self.timeseries.trim(horizon)
+        self.collect_all()
         collectors = {
             "tracer": self.tracer,
             "registry": self.registry,
@@ -190,11 +179,9 @@ class RunObserver:
 
         The bundles start at this observer's current runs: ``--jobs``
         merges each worker cell alone, in cell order, so its runs become
-        the next runs (reproducing the serial sweep's numbering); a
-        partitioned run merges all its shards at once, in shard-id
-        order, into one run.  Span ids are offset past those already
-        assigned, and profiler intervals get the same offsets as their
-        spans.
+        the next runs (reproducing the serial sweep's numbering).  Span
+        ids are offset past those already assigned, and profiler
+        intervals get the same offsets as their spans.
         """
         snaps = [snap for snap in snaps if snap is not None]
 
@@ -238,10 +225,10 @@ class RunObserver:
 class ObserverSpec:
     """Picklable recipe for rebuilding a :class:`RunObserver` elsewhere.
 
-    ``--jobs`` workers and PDES shards cannot share the parent's live
-    collectors, so the parent ships this spec across the process/pipe
-    boundary, each worker builds its own observer from it, runs, and
-    ships a :meth:`RunObserver.snapshot` back for merging.  Each field
+    ``--jobs`` workers cannot share the parent's live collectors, so
+    the parent ships this spec across the process boundary, each worker
+    builds its own observer from it, runs, and ships a
+    :meth:`RunObserver.snapshot` back for merging.  Each field
     holds the collector's constructor kwargs, or ``None`` when that
     collector is off; the oracle has no field — it is serial-only.
     """
@@ -287,12 +274,6 @@ class ObserverSpec:
             streaming=streaming,
         )
 
-    def for_shard(self) -> "ObserverSpec":
-        """The spec a PDES shard builds from: no registry (the parent
-        scrapes node stats off the merged result view instead, so the
-        shard-disjoint counters are never double-counted)."""
-        return replace(self, registry=False)
-
     def build(self) -> "RunObserver":
         """Construct a fresh observer with empty collectors."""
         from ..obs import (
@@ -317,20 +298,16 @@ class ObserverSpec:
         )
 
 
-def oracle_forces_serial(observer: Optional[object], what: str) -> bool:
+def oracle_forces_serial(observer: Optional[object]) -> bool:
     """True (with a loud warning) when ``observer`` carries the
     consistency oracle, which audits *global* event order and therefore
-    cannot be sharded over simulators or worker processes.
-
-    ``what`` names the parallelism being declined (``"--parallel-sim"``
-    or ``"--jobs"``) so the warning tells the user which flag lost.
-    """
+    cannot be split over worker processes."""
     if observer is None or getattr(observer, "oracle", None) is None:
         return False
     warnings.warn(
-        f"--audit-out keeps the run serial: the consistency oracle needs "
-        f"the global event order and cannot be merged from shards; "
-        f"drop --audit-out or {what} to silence this",
+        "--audit-out keeps the run serial: the consistency oracle needs "
+        "the global event order and cannot be merged from workers; "
+        "drop --audit-out or --jobs to silence this",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -393,55 +370,6 @@ def run_single_server_fleet(
     return times, server
 
 
-def partitioned_observed_run(
-    n_nodes: int,
-    config: SwalaConfig,
-    trace: Trace,
-    n_threads: int = 16,
-    n_hosts: int = 2,
-    costs: Optional[MachineCosts] = None,
-    n_shards: int = 2,
-    backend: str = "auto",
-    install: bool = True,
-    think_time: float = 0.0,
-    host_prefix: str = "wsclient",
-):
-    """Partitioned run that keeps the active observer fed.
-
-    Wraps :func:`repro.experiments.partition.run_partitioned_fleet`:
-    when an observer is active, each shard gets its own collectors
-    (built from an :class:`ObserverSpec`), and the per-shard snapshots
-    are folded back into the live observer here — one merged run,
-    deterministic regardless of backend.  The caller must have already
-    declined the oracle (see :func:`oracle_forces_serial`).
-    """
-    from .partition import run_partitioned_fleet
-
-    observer = current_observer()
-    obs_spec = (
-        ObserverSpec.from_observer(observer).for_shard()
-        if observer is not None else None
-    )
-    times, view = run_partitioned_fleet(
-        n_nodes,
-        config,
-        trace,
-        n_threads=n_threads,
-        n_hosts=n_hosts,
-        costs=costs,
-        think_time=think_time,
-        install=install,
-        n_shards=n_shards,
-        backend=backend,
-        obs_spec=obs_spec,
-        host_prefix=host_prefix,
-    )
-    if observer is not None:
-        observer.merge(view.obs_snapshots)
-        observer.collect(view)
-    return times, view
-
-
 def run_cluster_trace(
     n_nodes: int,
     mode: CacheMode,
@@ -455,36 +383,9 @@ def run_cluster_trace(
 
     Client threads are dealt round-robin over nodes, each pinned to one
     node (the paper's client arrangement).
-
-    When ``--parallel-sim`` set a process-global partition count (see
-    :func:`repro.sim.pdes.set_sim_partitions`), the run is sharded over
-    that many simulators under conservative synchronization instead —
-    same workload, same timeline, merged results.  Observed runs take
-    the partitioned path too: each shard carries its own collectors and
-    the snapshots merge deterministically (see
-    :meth:`RunObserver.merge`).  Only the consistency
-    oracle (``--audit-out``) still forces the serial path, with a
-    warning.
     """
-    from ..sim.pdes import sim_partitions
-
-    n_shards, backend = sim_partitions()
     config = SwalaConfig(mode=mode, **(config_kw or {}))
     observer = current_observer()
-    if (
-        n_shards > 1 and n_nodes > 1
-        and not oracle_forces_serial(observer, "--parallel-sim")
-    ):
-        return partitioned_observed_run(
-            n_nodes,
-            config,
-            trace,
-            n_threads=n_threads,
-            n_hosts=n_hosts,
-            costs=costs,
-            n_shards=n_shards,
-            backend=backend,
-        )
     sim = Simulator()
     cluster = SwalaCluster(sim, n_nodes, config, costs=costs)
     cluster.install_files(trace)

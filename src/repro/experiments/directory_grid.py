@@ -18,10 +18,8 @@ expose: each mix's indicator periods are sized so several updates
 accumulate per refresh (see :data:`GRID_MIXES`), which is exactly the
 regime where indicators beat the broadcast by an order of magnitude.
 
-1024-node cells run fine under ``--parallel-sim`` (the conservative
-PDES shards of :mod:`repro.sim.pdes`); the grid only reads merged
-:class:`~repro.core.stats.ClusterStats`, which both execution paths
-provide.
+Every cell is one serial simulation; the largest, 1024-node broadcast,
+takes a few minutes and under 1 GB of memory.
 """
 
 from __future__ import annotations

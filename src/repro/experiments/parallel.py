@@ -92,28 +92,6 @@ def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
     ]
 
 
-def _init_worker(partitions: int, backend: str) -> None:
-    """Pool initializer: re-apply the parent's ``--parallel-sim`` setting.
-
-    The partitioning is process-global state (see :mod:`repro.sim.pdes`),
-    so worker processes must receive it by value — an experiment sharded
-    over ``--jobs`` then builds the same simulators the serial run would.
-    """
-    from ..sim.pdes import set_sim_partitions
-
-    set_sim_partitions(partitions, backend)
-
-
-def _pool(n_workers: int) -> ProcessPoolExecutor:
-    from ..sim.pdes import sim_partitions
-
-    return ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_init_worker,
-        initargs=sim_partitions(),
-    )
-
-
 def map_parallel(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
@@ -127,7 +105,7 @@ def map_parallel(
         n_workers = min(len(items), os.cpu_count() or 1)
     if n_workers <= 1:
         return [fn(item) for item in items]
-    with _pool(n_workers) as pool:
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -172,7 +150,7 @@ def effective_jobs(jobs: Optional[int], n_cells: int) -> int:
     if observer is not None:
         from .common import oracle_forces_serial
 
-        if oracle_forces_serial(observer, "--jobs"):
+        if oracle_forces_serial(observer):
             return 1
     return min(jobs, n_cells)
 

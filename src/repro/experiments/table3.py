@@ -36,40 +36,12 @@ def _run_one(n_nodes: int, mode: CacheMode, n_requests: int, cpu_time: float,
              costs: Optional[MachineCosts], directory: str = "broadcast") -> float:
     trace = unique_cgi_trace(n_requests, cpu_time=cpu_time)
     config = SwalaConfig(mode=mode, directory_protocol=directory)
-    from ..sim.pdes import sim_partitions
-    from .common import (
-        current_observer,
-        oracle_forces_serial,
-        partitioned_observed_run,
-    )
-
-    n_shards, backend = sim_partitions()
-    if (
-        n_shards > 1 and n_nodes > 1
-        and not oracle_forces_serial(current_observer(), "--parallel-sim")
-    ):
-        # Partitioned twin: the same single client pinned to node 0, the
-        # broadcasts fanning out across shards.  Observed runs ride the
-        # same path with shard-local collectors.
-        times, _ = partitioned_observed_run(
-            n_nodes,
-            config,
-            trace,
-            n_threads=1,
-            n_hosts=1,
-            costs=costs,
-            install=False,
-            n_shards=n_shards,
-            backend=backend,
-            host_prefix="client",
-        )
-        return times.mean
     sim = Simulator()
     cluster = SwalaCluster(sim, n_nodes, config, costs=costs)
     cluster.start()
     # Explicit name (not the process-global auto counter): probe and
-    # reply-port names derive from it, and the partitioned twin above
-    # must export identical resource names for the `repro diff` gates.
+    # reply-port names derive from it, so the exported resource names
+    # match the committed `repro diff` baselines in any process.
     client = ClientThread(
         sim, cluster.network, "client0", cluster.node_names[0], list(trace),
         name="client0",

@@ -36,8 +36,7 @@ __all__ = ["Network", "UnknownPort", "LAN_100MBIT", "DEFAULT_LATENCY"]
 #: 100 Mbit/s Ethernet in bytes/second.
 LAN_100MBIT = 100e6 / 8
 
-#: Default propagation/switching latency (seconds).  Also the lookahead
-#: bound for conservative parallel runs, so it must stay positive.
+#: Default propagation/switching latency (seconds).
 DEFAULT_LATENCY = 0.0001
 
 
@@ -94,15 +93,6 @@ class Network:
         #: directory updates; the profiler also probes NICs and
         #: mailboxes created later by :meth:`attach`/:meth:`register`.
         self.obs = Instrumentation(sim)
-        #: Optional :class:`~repro.sim.pdes.Router`.  When set, sends to
-        #: hosts this network has never heard of are forwarded to the
-        #: router instead of raising — that is how a partitioned cluster
-        #: (conservative parallel DES) reaches hosts living on another
-        #: shard.  The sender-side physics (NIC serialization, latency,
-        #: loss is disallowed, counters, the delivery event) all still
-        #: happen here, so a message's timeline is identical whether its
-        #: destination is local or remote.
-        self.router = None
 
     # -- topology -----------------------------------------------------------
     def attach(self, host: str) -> None:
@@ -135,30 +125,8 @@ class Network:
             raise UnknownPort(f"{host}:{port}") from None
 
     def _unreachable(self, dst: str, port: str) -> bool:
-        """True when nobody — local port table or router — can take this.
-
-        Remote reachability is validated per *host*: ports are registered
-        lazily on their home shard (reply mailboxes appear just before the
-        send that announces them), so a sender shard cannot see them.  A
-        genuinely missing remote port still raises :class:`UnknownPort`,
-        just at delivery time via :meth:`inject` instead of at send time.
-        """
-        if (dst, port) in self._ports:
-            return False
-        return self.router is None or not self.router.routes(dst)
-
-    def inject(self, msg: Message) -> None:
-        """Deliver a message that was sent from another shard.
-
-        Called (via a scheduled timeout) by the PDES shard runtime at the
-        delivery instant the *sender* computed; only the mailbox deposit
-        happens here — the sender already did the accounting, so merged
-        per-shard counters equal the serial run's.
-        """
-        box = self._ports.get((msg.dst, msg.port))
-        if box is None:
-            raise UnknownPort(f"{msg.dst}:{msg.port}")
-        box.put(msg)
+        """True when no mailbox is registered for ``port`` on ``dst``."""
+        return (dst, port) not in self._ports
 
     # -- tracing --------------------------------------------------------------
     def _hop_span(self, parent, src: str, dst: str, port: str, size: int):
@@ -251,45 +219,19 @@ class Network:
                 self.obs.oracle.message_dropped(msg)
             delivered.succeed(None)  # dropped: delivery event reports None
             return
-        router = self.router
-        if router is not None and (msg.dst, msg.port) not in self._ports:
-            # Cross-shard: hand the copy to the coordinator with its exact
-            # delivery instant (the LAN latency is the lookahead bound that
-            # makes the handoff safe) and keep the sender-side accounting
-            # and delivery event on the local timeline.
-            msg.deliver_time = self.sim.now + self.latency
-            router.emit(msg)
-            self.sim.timeout(self.latency).callbacks.append(
-                partial(self._account_remote, msg, delivered, span)
-            )
-            return
         self.sim.timeout(self.latency).callbacks.append(
             partial(self._deliver, msg, delivered, span)
         )
-
-    def _account_port(self, msg: Message) -> None:
-        entry = self.port_traffic.get(msg.port)
-        if entry is None:
-            entry = self.port_traffic[msg.port] = [0, 0]
-        entry[0] += 1
-        entry[1] += msg.size
-
-    def _account_remote(self, msg: Message, delivered: Event, span, _evt=None) -> None:
-        """Sender-side tail of a cross-shard delivery: everything
-        :meth:`_deliver` does except the (remote) mailbox deposit."""
-        self.messages_sent += 1
-        self.bytes_sent += msg.size
-        self._account_port(msg)
-        self.transit_times.observe(msg.in_flight_time)
-        if span is not None:
-            span.close(self.sim.now)
-        delivered.succeed(msg)
 
     def _deliver(self, msg: Message, delivered: Event, span, _evt=None) -> None:
         msg.deliver_time = self.sim.now
         self.messages_sent += 1
         self.bytes_sent += msg.size
-        self._account_port(msg)
+        entry = self.port_traffic.get(msg.port)
+        if entry is None:
+            entry = self.port_traffic[msg.port] = [0, 0]
+        entry[0] += 1
+        entry[1] += msg.size
         self.transit_times.observe(msg.in_flight_time)
         if span is not None:
             span.close(self.sim.now)

@@ -214,7 +214,7 @@ def diff_counters(
     relative change exceeds ``threshold`` (missing/added counters always
     drift).  ``ignore``/``only`` filter by substring match on the name.
     Provenance manifests (``meta.*``) are ignored unless ``only`` names
-    them: a parallel run legitimately carries a different shard layout
+    them: a ``--jobs`` run legitimately carries a different ``jobs``
     than the serial run it must otherwise match counter for counter.
     """
     if not only:

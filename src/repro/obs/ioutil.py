@@ -50,7 +50,7 @@ def meta_line(meta: Mapping[str, Any]) -> str:
     Every ``--*-out`` exporter embeds this as its first line (JSONL
     kinds) or under a top-level ``"meta"`` key (JSON kinds) so an export
     carries the run parameters that produced it — seed, directory
-    protocol, shard layout, config hash, repro version.  The
+    protocol, worker count, config hash, repro version.  The
     manifest must stay wall-clock- and machine-free: same-seed exports
     are compared byte for byte in CI.  ``repro diff`` ignores ``meta.*``
     counters by default and compares them under ``--only meta``.

@@ -340,32 +340,12 @@ class ResourceProbe:
         self.completions += 1
 
     # -- finalize / export ------------------------------------------------
-    def finalize(self, at: Optional[float] = None) -> None:
+    def finalize(self) -> None:
         """Flush the occupancy integrals and freeze the horizon.
 
-        Idempotent; safe to call after the simulation stopped.  ``at``
-        overrides the horizon: a PDES shard's simulator overshoots the
-        global terminal instant by up to one conservative window (see
-        :mod:`repro.sim.pdes`), so shard probes finalize at the
-        coordinator's terminal time instead of their own ``sim.now`` —
-        the integrals then cover exactly the window a serial probe would
-        have observed.  ``at`` never rewinds below the last accounted
-        event (the occupancy integrals must keep summing to the observed
-        window).
+        Idempotent; safe to call after the simulation stopped.
         """
-        self._advance()
-        horizon = self.sim.now if at is None else max(at, self._last)
-        dt = horizon - self._last
-        if dt > 0.0:
-            ins, q = self.in_service, self.queued
-            self.busy_time += ins * dt
-            self.queue_time += q * dt
-            occ = self.busy_occupancy
-            occ[ins] = occ.get(ins, 0.0) + dt
-            occ = self.queue_occupancy
-            occ[q] = occ.get(q, 0.0) + dt
-            self._last = horizon
-        self.horizon = horizon
+        self.horizon = self._advance()
         if self.kind == "cpu" and self.owner is not None:
             self.cpu_busy_time = self.owner.projected_busy_time()
 
@@ -470,7 +450,7 @@ class ResourceProfiler:
         #: Interval records not stored because ``max_intervals`` was hit.
         self.intervals_dropped = 0
         #: Frozen resource/lock/interval records folded in from other
-        #: profilers' snapshots (shard or pool workers); exported
+        #: profilers' snapshots (``--jobs`` workers); exported
         #: alongside this profiler's own live probes.
         self._merged_resources: List[Dict[str, Any]] = []
         self._merged_locks: List[Dict[str, Any]] = []
@@ -553,14 +533,10 @@ class ResourceProfiler:
             self.watched_locks.append((self.run, node, lock))
 
     # -- lifecycle --------------------------------------------------------
-    def finalize(self, at: Optional[float] = None) -> None:
-        """Flush every probe's integrals; call once per finished run.
-
-        ``at`` pins every probe's horizon (shard profilers pass the
-        coordinator's global terminal time; see
-        :meth:`ResourceProbe.finalize`)."""
+    def finalize(self) -> None:
+        """Flush every probe's integrals; call once per finished run."""
         for probe in self.probes:
-            probe.finalize(at)
+            probe.finalize()
 
     # -- snapshot / merge -------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -639,7 +615,7 @@ class ResourceProfiler:
 
     def resource_count(self) -> int:
         """Exported resource entries: live probes plus merged-in records
-        (a parallel run's resources arrive via shard/worker snapshots and
+        (a ``--jobs`` run's resources arrive via worker snapshots and
         never appear in ``probes``)."""
         return len(self.probes) + len(self._merged_resources)
 

@@ -79,8 +79,7 @@ def attach(target, tracer=None, oracle=None, profiler=None,
     if streaming is not None:
         obs.streaming = streaming
         if network is not None:
-            # The full cluster size: a PDES shard holds only some nodes.
-            streaming.n_servers = len(target.node_names)
+            streaming.n_servers = len(servers)
 
 _OBSERVER: Optional[object] = None
 

@@ -813,11 +813,11 @@ class StreamingTelemetry:
 
         Every snapshot's run ``r`` lands on ``self.run + r`` (the run
         count at call time): a ``--jobs`` cell merged alone becomes the
-        next runs, and the shards of one partitioned simulation, merged
-        together, share one run.  Same-index windows from different
-        shards merge with :meth:`StreamingWindow.merge` (counts, sums
-        and digests are associative), except queue depth, which is
-        *summed* — each shard tracks its own backlog, and backlogs add.
+        next runs, and snapshots merged together share their runs.
+        Same-index windows from different snapshots merge with
+        :meth:`StreamingWindow.merge` (counts, sums and digests are
+        associative), except queue depth, which is *summed* — each
+        snapshot tracks its own backlog, and backlogs add.
         Every window is then settled again in ``(run, index)`` order
         against its run's server count, replaying the close sequence a
         serial run goes through: a lone snapshot merges into an empty

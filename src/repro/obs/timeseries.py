@@ -17,9 +17,9 @@ per-series sparkline dashboards via :func:`render_timeseries_dashboard`.
 Scheduling note: the sampler *does* add timeout events to the
 simulation, but they carry no side effects and draw no random numbers,
 so the simulated behaviour of every other process is unchanged.  Sampled
-runs no longer force serial execution: each ``--jobs`` worker and each
-PDES shard keeps its own :class:`TimeSeriesLog` and ships a snapshot
-back for a deterministic merge (:meth:`TimeSeriesLog.merge`).
+runs no longer force serial execution: each ``--jobs`` worker keeps its
+own :class:`TimeSeriesLog` and ships a snapshot back for a deterministic
+merge (:meth:`TimeSeriesLog.merge`).
 """
 
 from __future__ import annotations
@@ -94,25 +94,14 @@ class TimeSeriesLog:
             "run": self.run,
         }
 
-    def trim(self, horizon: float) -> None:
-        """Drop samples taken after ``horizon``.
-
-        A PDES shard's simulator overshoots the global terminal time by
-        up to one conservative window (see :mod:`repro.sim.pdes`); its
-        log is trimmed to the coordinator's horizon before the snapshot
-        ships, so merged shards hold what a serial sampler would.
-        """
-        self.samples = [s for s in self.samples if s["t"] <= horizon]
-
     def merge(self, snaps: Sequence[Dict[str, Any]]) -> None:
         """Fold logs' snapshots (:meth:`snapshot`) into this one.
 
         Every snapshot's run ``r`` lands on ``self.run + r`` (the run
         count at call time), so a ``--jobs`` cell merged alone becomes
-        the next runs, and the shards of one partitioned simulation,
-        merged together, share one run.  Samples taken at the same
-        ``(run, t)`` — by different shards — union into one record, and
-        the log stays in ``(run, t)`` order.
+        the next runs, and snapshots merged together share their runs.
+        Samples taken at the same ``(run, t)`` — by different logs —
+        union into one record, and the log stays in ``(run, t)`` order.
         """
         base = self.run
         index = {(s["run"], s["t"]): s for s in self.samples}

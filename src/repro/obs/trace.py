@@ -173,7 +173,7 @@ class TraceCollector:
         #: collector can cover several back-to-back simulations.
         self.run = 0
         # Plain ints (not itertools.count) so snapshot/merge can read and
-        # advance them when folding shard-local collectors together.
+        # advance them when folding worker-local collectors together.
         self._next_trace = 1
         self._next_span = 1
 
@@ -258,7 +258,7 @@ class TraceCollector:
         """Picklable state of this collector, for merging elsewhere.
 
         The span list keeps creation order (not export order) so a merge
-        preserves the relative interleaving the shard observed.
+        preserves the relative interleaving the collector observed.
         """
         return {
             "spans": [span.to_dict() for span in self.spans],
@@ -273,12 +273,12 @@ class TraceCollector:
 
         Every snapshot's run ``r`` lands on ``self.run + r`` (the run
         count at call time): a ``--jobs`` cell merged alone becomes the
-        next runs of the sweep, and the shards of one partitioned
-        simulation, merged together, share one run.  Trace and span ids
+        next runs of the sweep, and snapshots merged together share
+        their runs.  Trace and span ids
         are offset past the ids already assigned, snapshot by snapshot,
         so ``(trace_id, span_id)`` join keys stay unique.  Span ``tick``
         values are kept as recorded: per-simulator event counters,
-        meaningful for ordering only within one shard's run.
+        meaningful for ordering only within one snapshot's run.
 
         Returns the ``(trace_offset, span_offset)`` applied to each
         snapshot; records that join on span ids (profiler intervals)

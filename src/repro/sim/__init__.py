@@ -16,12 +16,6 @@ from .engine import (
     Timeout,
 )
 from .monitor import Tally, TimeSeries
-from .pdes import (
-    ConservativeCoordinator,
-    set_sim_partitions,
-    sim_partitions,
-    using_partitions,
-)
 from .probes import Instrumentation
 from .resources import ProcessorSharing, Request, Resource, Store
 from .rng import RandomStreams
@@ -36,10 +30,6 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "StopSimulation",
-    "ConservativeCoordinator",
-    "sim_partitions",
-    "set_sim_partitions",
-    "using_partitions",
     "Resource",
     "Request",
     "Store",

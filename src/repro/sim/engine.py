@@ -518,23 +518,6 @@ class Simulator:
         self._seq += 1
         return timeout
 
-    def schedule_at(self, at: float, value: Any = None) -> Event:
-        """Schedule a pre-succeeded event at an *absolute* instant.
-
-        ``timeout(at - now)`` fires at ``now + (at - now)``, which float
-        rounding can put one ulp off ``at``.  Cross-shard message
-        injection (:mod:`repro.sim.pdes`) needs the delivery instant
-        bit-equal to the serial run's, so it schedules absolutely.
-        """
-        if at < self._now:
-            raise ValueError(f"at ({at}) must not be before now ({self._now})")
-        event = Event(self)
-        event._ok = True
-        event._value = value
-        self._qpush((at, NORMAL, self._seq, event))
-        self._seq += 1
-        return event
-
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 
@@ -569,30 +552,6 @@ class Simulator:
         if not event._ok and not event._defused:
             # Nobody handled the failure: crash the simulation.
             raise event._value
-
-    def run_window(self, horizon: float) -> int:
-        """Process every event strictly before ``horizon``; return the count.
-
-        The window primitive for conservative parallel simulation (see
-        :mod:`repro.sim.pdes`): a shard repeatedly runs the window its
-        coordinator proved safe.  Events at or after ``horizon`` stay
-        queued: the loop peeks at the head before popping it.  Unlike
-        :meth:`run`, an exhausted queue just ends the window: more events
-        may arrive by cross-shard injection before the next one.
-        """
-        heap = self._heap
-        processed = 0
-        while heap and heap[0][0] < horizon:
-            self._now, _, _, event = heappop(heap)
-            self._ticks += 1
-            processed += 1
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                # Nobody handled the failure: crash the simulation.
-                raise event._value
-        return processed
 
     def run(self, until: Any = None) -> Any:
         """Run until the queue drains, time ``until``, or event ``until``.

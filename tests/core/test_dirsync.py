@@ -15,7 +15,9 @@ from repro.core import (
     SwalaConfig,
 )
 from repro.core.dirsync import per_filter_fp_rate
-from repro.core.protocol import DIRECTORY_UPDATE_BYTES
+from repro.core.protocol import DIRECTORY_UPDATE_BYTES, IndicatorDeltas
+from repro.experiments import GRID_MIXES
+from repro.experiments.common import run_cluster_trace
 from repro.obs import ConsistencyOracle, attach
 from repro.sim import Simulator
 from repro.workload import Request
@@ -204,7 +206,12 @@ class TestBloomProtocol:
                                      indicator_batch=1)
         # A phantom indicator entry: node 1 believes node 0 holds the
         # result (exactly what a Bloom false positive produces).
-        cluster.servers[1].cacher.sync._filter_for("swala0").add(CGI.url)
+        sync = cluster.servers[1].cacher.sync
+        phantom = CountingBloomFilter(
+            sync.cacher.config.cache_capacity, sync.fp_rate
+        )
+        phantom.add(CGI.url)
+        sync.filters["swala0"] = phantom
         t = send(sim, cluster, 1, [CGI])
         assert t.responses[0].source == "exec"  # recovered by executing
         assert cluster.servers[1].stats.false_hits == 1
@@ -220,6 +227,57 @@ class TestBloomProtocol:
         assert CGI.url in cluster.servers[1].cacher.sync.filters["swala0"]
         sim.run(until=sim.now + 5.0)  # expire + purge + delete delta
         assert CGI.url not in cluster.servers[1].cacher.sync.filters["swala0"]
+
+
+class TestPeerFiltersAreShared:
+    """Receivers of one delta batch share the filter it produces; a
+    shared filter is never mutated, so diverging receivers copy it."""
+
+    @staticmethod
+    def apply(sim, server, batch):
+        sim.run(until=sim.process(server.cacher.sync.handle_update(batch, None)))
+
+    def test_receivers_of_a_batch_hold_one_filter(self):
+        sim, cluster = build_cluster(4, directory_protocol="bloom",
+                                     indicator_batch=1)
+        send(sim, cluster, 0, [CGI])
+        sim.run(until=sim.now + 1.0)
+        held = [s.cacher.sync.filters["swala0"] for s in cluster.servers[1:]]
+        assert all(f is held[0] for f in held)
+        assert CGI.url in held[0]
+
+    def test_diverging_receivers_copy_the_shared_filter(self):
+        sim, cluster = build_cluster(3, directory_protocol="bloom")
+        one, two = cluster.servers[1], cluster.servers[2]
+        first = IndicatorDeltas("swala0", (("i", "/a"),), seq=1)
+        self.apply(sim, one, first)
+        self.apply(sim, two, first)
+        shared = one.cacher.sync.filters["swala0"]
+        assert two.cacher.sync.filters["swala0"] is shared
+        self.apply(sim, one, IndicatorDeltas("swala0", (("i", "/b"),), seq=2))
+        self.apply(sim, two, IndicatorDeltas("swala0", (("d", "/a"),), seq=2))
+        mine = one.cacher.sync.filters["swala0"]
+        theirs = two.cacher.sync.filters["swala0"]
+        assert ("/a" in mine, "/b" in mine) == (True, True)
+        assert ("/a" in theirs, "/b" in theirs) == (False, False)
+        assert ("/a" in shared, "/b" in shared) == (True, False)
+        assert (len(shared), len(mine), len(theirs)) == (1, 2, 0)
+
+    def test_grid_run_keeps_one_filter_per_batch(self):
+        mix = GRID_MIXES["webstone"]
+        _, cluster = run_cluster_trace(
+            16, CacheMode.COOPERATIVE, mix.trace(0.05, 0),
+            n_threads=16, n_hosts=8, config_kw=mix.config_kw("bloom"),
+        )
+        held = [
+            filt
+            for server in cluster.servers
+            for filt in server.cacher.sync.filters.values()
+        ]
+        flushes = sum(server.cacher.sync.flushes for server in cluster.servers)
+        # A private filter per receiver would make flushes x (N-1) objects.
+        assert len(held) > flushes
+        assert len({id(filt) for filt in held}) <= flushes
 
 
 class TestBroadcastUnaffectedByIndicatorKnobs:

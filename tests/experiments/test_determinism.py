@@ -115,7 +115,7 @@ def test_serial_matches_parallel_table2():
 
 def test_tracing_no_longer_forces_serial():
     """Mergeable observers ride along with ``--jobs``: each worker runs a
-    shard-local collector and the parent folds the snapshots back in cell
+    worker-local collector and the parent folds the snapshots back in cell
     order, so an active tracer keeps the requested parallelism."""
     with observe_runs(RunObserver(tracer=TraceCollector())):
         assert effective_jobs(4, 10) == 4
@@ -124,7 +124,7 @@ def test_tracing_no_longer_forces_serial():
 
 def test_oracle_still_forces_serial():
     """The consistency oracle audits the global event order; it cannot be
-    merged from per-worker shards, so it pins fanout to one process (with
+    merged from per-worker snapshots, so it pins fanout to one process (with
     a warning the CLI surfaces)."""
     import pytest
     from repro.obs import ConsistencyOracle

@@ -1,13 +1,14 @@
-"""Property tests (hypothesis) for the shard-local telemetry merge algebra.
+"""Property tests (hypothesis) for the telemetry merge algebra.
 
-A parallel run observes through per-shard / per-worker collectors and
-folds their snapshots back into one artifact, so the fold itself must be
-an honest aggregation: counters add exactly, time-weighted integrals
-partition across shards, and the result is associative and insensitive
-to the order shards are folded in wherever the export sorts.  These
-tests pin that algebra down on adversarial splits of one workload; the
-end-to-end serial == merged(shards) comparisons on real cluster runs
-live in ``tests/obs/test_merge_e2e.py`` and CI's ``repro diff`` gates.
+A ``--jobs`` run observes through per-worker collectors and folds their
+snapshots back into one artifact, so the fold itself must be an honest
+aggregation: counters add exactly, time-weighted integrals partition
+across the collectors ("shards" below) that split a workload, and the
+result is associative and insensitive to the order shards are folded in
+wherever the export sorts.  These tests pin that algebra down on
+adversarial splits of one workload; the end-to-end serial ==
+merged(workers) comparisons on real sweeps live in
+``tests/obs/test_merge_e2e.py`` and CI's ``repro diff`` gates.
 
 All observations here are dyadic rationals (integers over a power of
 two), so every expected aggregate — sums, bucket counts, busy
@@ -136,7 +137,7 @@ class TestRegistryMerge:
 # --------------------------------------------------------------------------
 # Profiler: a probe's time-weighted busy integral partitions exactly
 # across the shards that held the tokens, provided every shard freezes
-# at the same horizon (the coordinator's global terminal time).
+# at the same horizon.
 # --------------------------------------------------------------------------
 
 class _FakeSim:
@@ -182,21 +183,23 @@ def _play(probe, sim, holds):
 class TestProfilerMerge:
     @given(token_holds())
     @settings(max_examples=40, deadline=None)
-    def test_busy_integral_partitions_across_shards(self, workload):
+    def test_busy_integral_adds_up_across_shards(self, workload):
         n_shards, holds = workload
         horizon = max((s + d) / 4.0 for s, d, _ in holds) + 1.0
 
         sim = _FakeSim()
         serial = ResourceProbe(sim, "disk", "resource", capacity=4)
         _play(serial, sim, holds)
-        serial.finalize(at=horizon)
+        sim.now = horizon
+        serial.finalize()
 
         shards = []
         for shard in range(n_shards):
             ssim = _FakeSim()
             probe = ResourceProbe(ssim, "disk", "resource", capacity=4)
             _play(probe, ssim, [h for h in holds if h[2] == shard])
-            probe.finalize(at=horizon)
+            ssim.now = horizon
+            probe.finalize()
             shards.append(probe)
 
         # The busy integral is additive over shards; the occupancy
@@ -224,7 +227,8 @@ class TestProfilerMerge:
                 sim, f"disk{shard}", "resource", capacity=4, run=1
             )
             _play(probe, sim, [h for h in holds if h[2] % 2 == shard])
-            probe.finalize(at=horizon)
+            sim.now = horizon
+            probe.finalize()
             snaps.append({
                 "run": 1, "dropped": 0, "resources": [probe.to_dict()],
                 "locks": [], "intervals": [], "intervals_dropped": 0,
@@ -365,8 +369,8 @@ class TestStreamingReplay:
 
 
 # --------------------------------------------------------------------------
-# Time series: shards trim their overshoot past the coordinator's
-# horizon, and the merge unions same-instant samples.
+# Time series: shards that sample up to a shared horizon merge into the
+# serial log, and the merge unions same-instant samples.
 # --------------------------------------------------------------------------
 
 @st.composite
@@ -396,8 +400,7 @@ class TestTimeSeriesShardMerge:
             for shard in range(n_shards)
         }
         # The serial sampler sees every series at each tick, up to the
-        # run's end; shard samplers see only their own series but keep
-        # sampling until their local clock stops — past the horizon.
+        # run's end; shard samplers see only their own series.
         serial = TimeSeriesLog()
         serial.new_run()
         for t in times:
@@ -411,8 +414,10 @@ class TestTimeSeriesShardMerge:
             log = TimeSeriesLog()
             log.new_run()
             for t in times:
-                log.record(float(t), {f"node{shard}": value_at[(shard, t)]})
-            log.trim(horizon)  # shard-side, before the snapshot ships
+                if t <= horizon:
+                    log.record(
+                        float(t), {f"node{shard}": value_at[(shard, t)]}
+                    )
             snaps.append(log.snapshot())
         merged = TimeSeriesLog()
         merged.merge([snaps[shard] for shard in order])

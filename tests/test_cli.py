@@ -61,6 +61,69 @@ class TestParser:
         assert "must be > 0" in capsys.readouterr().err
 
 
+class TestProvenanceMeta:
+    """The manifest every ``--*-out`` export embeds (``_provenance_meta``)."""
+
+    KEYS = {"version", "command", "seed", "directory", "jobs", "config_hash"}
+
+    @staticmethod
+    def meta(argv):
+        from repro.cli import _provenance_meta
+
+        return _provenance_meta(build_parser().parse_args(argv))
+
+    def test_manifest_has_exactly_the_provenance_keys(self):
+        meta = self.meta(["table3", "--seed", "5", "--jobs", "2",
+                          "--directory", "bloom"])
+        assert set(meta) == self.KEYS
+        assert meta["command"] == "table3"
+        assert meta["seed"] == 5
+        assert meta["jobs"] == 2
+        assert meta["directory"] == "bloom"
+
+    def test_grid_names_its_protocols_as_the_directory(self):
+        meta = self.meta(["directory-grid", "--protocols", "digest", "bloom"])
+        assert set(meta) == self.KEYS
+        assert meta["directory"] == "digest,bloom"
+
+    def test_config_hash_ignores_output_paths(self):
+        base = self.meta(["table3", "--nodes", "2", "3"])
+        moved = self.meta([
+            "table3", "--nodes", "2", "3",
+            "--output", "elsewhere/t3.txt",
+            "--export", "elsewhere/t3.json",
+            "--trace-out", "elsewhere/spans.jsonl",
+            "--metrics-out", "elsewhere/m.prom",
+            "--audit-out", "elsewhere/a.jsonl",
+            "--timeseries-out", "elsewhere/ts.jsonl",
+            "--profile-out", "elsewhere/p.json",
+            "--critical-out", "elsewhere/c.json",
+            "--streaming-out", "elsewhere/w.jsonl.gz",
+        ])
+        assert moved == base
+
+    @pytest.mark.parametrize("knob", [
+        ["--seed", "1"], ["--jobs", "2"], ["--nodes", "2", "4"],
+        ["--requests", "40"], ["--directory", "digest"],
+    ])
+    def test_config_hash_tracks_every_run_knob(self, knob):
+        base = self.meta(["table3"])["config_hash"]
+        assert self.meta(["table3"] + knob)["config_hash"] != base
+
+    def test_exported_manifest_matches(self, capsys, tmp_path):
+        import json
+
+        profile = tmp_path / "p.json"
+        rc = main(["table3", "--nodes", "2", "--requests", "4",
+                   "--output", str(tmp_path / "t3.txt"),
+                   "--profile-out", str(profile)])
+        assert rc == 0
+        capsys.readouterr()
+        meta = json.loads(profile.read_text())["meta"]
+        assert meta == self.meta(["table3", "--nodes", "2",
+                                  "--requests", "4"])
+
+
 class TestCapacityCommand:
     def test_tiny_search_end_to_end(self, capsys, tmp_path):
         json_out = tmp_path / "knee.json"
