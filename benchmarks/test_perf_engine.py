@@ -22,7 +22,6 @@ from repro.bench import (
     bench_eviction_sweep,
     bench_full_request_path,
     bench_processor_sharing,
-    bench_stack_distances,
 )
 
 
@@ -44,11 +43,6 @@ def test_perf_cache_store(benchmark):
 def test_perf_full_request_path(benchmark):
     """End-to-end requests/second through the whole stack (2-node coop)."""
     assert benchmark(bench_full_request_path) > 0
-
-
-def test_perf_stack_distances(benchmark):
-    """O(n log n) LRU stack-distance analysis throughput."""
-    assert benchmark(bench_stack_distances) == 8_000
 
 
 def test_perf_eviction_sweep(benchmark):

@@ -33,7 +33,6 @@ from .hosts import Machine
 from .net import LAN_100MBIT, Network
 from .sim import ProcessorSharing, Simulator
 from .workload import zipf_cgi_trace
-from .workload.locality import stack_distances
 
 __all__ = [
     "BenchResult",
@@ -44,7 +43,6 @@ __all__ = [
     "bench_full_request_path",
     "bench_streaming_telemetry",
     "bench_eviction_sweep",
-    "bench_stack_distances",
     "bench_broadcast_storm",
     "bench_directory_sync",
     "bench_directory_sync_digest",
@@ -178,14 +176,6 @@ def bench_eviction_sweep(n_ops: int = 2_000, capacity: int = 512) -> int:
     return sum(_eviction_churn(p, n_ops, capacity) for p in _EVICTION_POLICIES)
 
 
-def bench_stack_distances(n_requests: int = 8_000) -> int:
-    """O(n log n) LRU stack-distance analysis over a zipf CGI trace."""
-    trace = zipf_cgi_trace(n_requests, 400, seed=0)
-    repeats = sum(1 for d in stack_distances(trace) if d is not None)
-    assert repeats > 0
-    return n_requests
-
-
 def bench_broadcast_storm(n_nodes: int = 12, n_updates: int = 150) -> int:
     """N-node directory-update storm through the flattened single-process
     fan-out: every node takes turns broadcasting a 128-byte update to its
@@ -272,7 +262,6 @@ BENCH_WORKLOADS: Dict[str, Callable[[], int]] = {
     "full_request_path": bench_full_request_path,
     "streaming_telemetry": bench_streaming_telemetry,
     "eviction_sweep": bench_eviction_sweep,
-    "stack_distances": bench_stack_distances,
     "broadcast_storm": bench_broadcast_storm,
     "directory_sync": bench_directory_sync,
     "directory_sync_digest": bench_directory_sync_digest,

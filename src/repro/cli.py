@@ -1022,6 +1022,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
         return x
 
+    def positive_int(value):
+        n = int(value)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return n
+
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="also write the table to this file")
@@ -1036,32 +1042,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="ADL log caching-potential analysis")
     common(p)
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=positive_float, default=1.0,
                    help="shrink the synthetic log by this factor")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="WebStone file-fetch server comparison")
     common(p)
-    p.add_argument("--clients", type=int, nargs="+", default=[4, 8, 16, 32, 64])
-    p.add_argument("--requests-per-client", type=int, default=25)
+    p.add_argument("--clients", type=positive_int, nargs="+",
+                   default=[4, 8, 16, 32, 64])
+    p.add_argument("--requests-per-client", type=positive_int, default=25)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("figure3", help="null-CGI response-time comparison")
     common(p)
-    p.add_argument("--clients", type=int, default=24)
-    p.add_argument("--requests-per-client", type=int, default=20)
+    p.add_argument("--clients", type=positive_int, default=24)
+    p.add_argument("--requests-per-client", type=positive_int, default=20)
     p.set_defaults(func=_cmd_figure3)
 
     p = sub.add_parser("figure4", help="multi-node scaling, cache vs no-cache")
     common(p)
-    p.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 6, 8])
-    p.add_argument("--scale", type=float, default=0.02)
+    p.add_argument("--nodes", type=positive_int, nargs="+",
+                   default=[1, 2, 4, 6, 8])
+    p.add_argument("--scale", type=positive_float, default=0.02)
     p.set_defaults(func=_cmd_figure4)
 
     p = sub.add_parser("table3", help="insert+broadcast overhead")
     common(p)
-    p.add_argument("--nodes", type=int, nargs="+", default=[2, 3, 4, 5, 6, 7, 8])
-    p.add_argument("--requests", type=int, default=180)
+    p.add_argument("--nodes", type=positive_int, nargs="+",
+                   default=[2, 3, 4, 5, 6, 7, 8])
+    p.add_argument("--requests", type=positive_int, default=180)
     p.add_argument(
         "--directory", choices=["broadcast", "digest", "bloom"],
         default="broadcast",
@@ -1103,13 +1112,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rates", type=float, nargs="+",
                    default=[0.0, 10.0, 20.0, 50.0, 100.0])
-    p.add_argument("--requests", type=int, default=180)
+    p.add_argument("--requests", type=positive_int, default=180)
     p.set_defaults(func=_cmd_table4)
 
     for which, size in (("table5", 2_000), ("table6", 20)):
         p = sub.add_parser(which, help=f"hit ratios, cache size {size}")
         common(p)
-        p.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 6, 8])
+        p.add_argument("--nodes", type=positive_int, nargs="+",
+                       default=[1, 2, 4, 6, 8])
         p.set_defaults(func=_cmd_table5 if which == "table5" else _cmd_table6)
 
     p = sub.add_parser("ablation", help="run one of the ablation studies")

@@ -2,6 +2,5 @@
 
 from .client import ClientFleet, ClientThread
 from .open_loop import AdaptiveSource, OpenLoopSource, poisson_timed_trace
-from .webstone_bench import WebStoneReport, WebStoneRun
 
-__all__ = ["ClientThread", "ClientFleet", "AdaptiveSource", "OpenLoopSource", "poisson_timed_trace", "WebStoneRun", "WebStoneReport"]
+__all__ = ["ClientThread", "ClientFleet", "AdaptiveSource", "OpenLoopSource", "poisson_timed_trace"]

@@ -97,16 +97,5 @@ class SwalaCluster:
     def total_cached_entries(self) -> int:
         return sum(len(server.cacher.store) for server in self.servers)
 
-    def directory_traffic(self) -> dict:
-        """Directory-sync network cost, aggregated over the local nodes.
-
-        Returns ``{"messages": int, "bytes": int}`` — what the configured
-        :mod:`~repro.core.dirsync` protocol (broadcast, digest, or Bloom
-        deltas) put on the LAN.  The per-request quotient of these is the
-        headline metric of the directory-protocol grid.
-        """
-        stats = self.stats()
-        return {"messages": stats.dir_msgs_sent, "bytes": stats.dir_bytes_sent}
-
     def __repr__(self) -> str:
         return f"<SwalaCluster n={len(self.servers)} mode={self.config.mode.value}>"

@@ -37,7 +37,7 @@ from .capacity_study import (
     render_capacity_study,
     run_capacity_study,
 )
-from .common import run_cluster_trace, run_single_server_fleet, single_swala, warm_cluster
+from .common import run_cluster_trace, run_single_server_fleet, warm_cluster
 from .directory_grid import (
     GRID_MIXES,
     GridCell,
@@ -80,7 +80,6 @@ from .proxy_study import (
     render_proxy_study,
     run_proxy_study,
 )
-from .replication import Replication, replicate
 from .table1 import PAPER_1S_ROW, Table1Result, render_table1, run_table1
 from .table2 import Table2Row, render_table2, run_table2
 from .table3 import Table3Row, render_table3, run_table3
@@ -160,10 +159,7 @@ __all__ = [
     "render_knee_table",
     "write_knee_report",
     "CapacityRow",
-    "replicate",
-    "Replication",
     "run_cluster_trace",
     "run_single_server_fleet",
-    "single_swala",
     "warm_cluster",
 ]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..clients import ClientFleet, ClientThread
-from ..core import CacheMode, SwalaCluster, SwalaConfig, SwalaServer
+from ..core import CacheMode, SwalaCluster, SwalaConfig
 from ..hosts import Machine, MachineCosts
 from ..net import Network
 from ..obs import runtime
@@ -21,7 +21,6 @@ __all__ = [
     "observe_runs",
     "current_observer",
     "oracle_forces_serial",
-    "single_swala",
     "run_single_server_fleet",
     "run_cluster_trace",
     "warm_cluster",
@@ -325,19 +324,6 @@ def observe_runs(observer: Optional[RunObserver]):
     """Make ``observer`` the active one for runs started inside the block."""
     with runtime.observing(observer):
         yield observer
-
-
-def single_swala(
-    sim: Simulator,
-    config: SwalaConfig,
-    costs: Optional[MachineCosts] = None,
-    name: str = "srv",
-) -> Tuple[SwalaServer, Network]:
-    """One Swala node on a fresh LAN."""
-    network = Network(sim)
-    machine = Machine(sim, name, costs)
-    server = SwalaServer(sim, machine, network, [name], config, name=name)
-    return server, network
 
 
 def run_single_server_fleet(

@@ -4,26 +4,10 @@ Every paper experiment is a sweep over independent simulation runs (node
 counts x cache modes x seeds), and each run is single-threaded and
 deterministic — so the sweep is embarrassingly parallel across
 *processes*.  Results always come back in cell order, so a parallel
-sweep renders the exact same table as a serial one.  Two entry points
-share one pool:
-
-* :func:`fanout` is the primitive the experiment modules use: it runs a
-  module-level worker once per parameter cell.
-* :func:`run_grid` expands a parameter grid (cartesian product, in
-  insertion order) and returns :class:`GridResult` records with wall
-  times; :func:`map_parallel` is the order-preserving map under both.
-
-Typical use::
-
-    from repro.experiments.parallel import run_grid
-
-    results = run_grid(
-        my_experiment_fn,              # top-level callable (picklable)
-        {"cache_size": [20, 200, 2000], "seed": [0, 1, 2]},
-        n_workers=4,
-    )
-    for r in results:
-        print(r.params, r.value)
+sweep renders the exact same table as a serial one.  :func:`fanout` is
+the entry point the experiment modules use: it runs a module-level
+worker once per parameter cell, through the order-preserving
+:func:`map_parallel`.
 
 Observed sweeps (``--trace-out`` / ``--metrics-out`` / ...) fan out too:
 the parent ships a picklable
@@ -48,48 +32,17 @@ identical to a shared one.
 
 from __future__ import annotations
 
-import itertools
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..obs import runtime
 
 __all__ = [
-    "GridResult",
-    "expand_grid",
-    "run_grid",
     "map_parallel",
     "effective_jobs",
     "fanout",
 ]
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """One grid cell: the parameters used, the return value, wall time."""
-
-    params: Dict[str, Any]
-    value: Any
-    elapsed: float
-
-
-def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
-    """Cartesian product of the grid in deterministic (insertion) order."""
-    if not grid:
-        return [{}]
-    keys = list(grid)
-    for key in keys:
-        if not isinstance(grid[key], (list, tuple)):
-            raise TypeError(f"grid value for {key!r} must be a list/tuple")
-        if not grid[key]:
-            raise ValueError(f"grid value for {key!r} is empty")
-    return [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*(grid[k] for k in keys))
-    ]
 
 
 def map_parallel(
@@ -107,34 +60,6 @@ def map_parallel(
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _call_cell(payload):
-    fn, params = payload
-    start = time.perf_counter()
-    value = fn(**params)
-    return value, time.perf_counter() - start
-
-
-def run_grid(
-    fn: Callable[..., Any],
-    grid: Mapping[str, Sequence[Any]],
-    n_workers: Optional[int] = None,
-) -> List[GridResult]:
-    """Run ``fn(**params)`` for every grid cell; results in grid order.
-
-    ``fn`` must be a module-level (picklable) callable.  ``n_workers`` <= 1
-    runs serially in-process (useful for debugging); ``None`` uses the CPU
-    count capped at the number of cells.
-    """
-    cells = expand_grid(grid)
-    outcomes = map_parallel(
-        _call_cell, [(fn, params) for params in cells], n_workers=n_workers
-    )
-    return [
-        GridResult(params=params, value=value, elapsed=elapsed)
-        for params, (value, elapsed) in zip(cells, outcomes)
-    ]
 
 
 def effective_jobs(jobs: Optional[int], n_cells: int) -> int:

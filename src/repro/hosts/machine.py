@@ -35,13 +35,11 @@ class Machine:
         self.fs = FileSystem(sim, self.costs, self.disk, name=f"{name}.fs")
 
     # -- CPU helpers --------------------------------------------------------
-    def compute(self, seconds: float, weight: float = 1.0) -> Event:
+    def compute(self, seconds: float) -> Event:
         """Submit ``seconds`` of reference-machine CPU demand; the event
         fires at completion (slower machines stretch the demand by their
         ``cpu_slowdown``)."""
-        return self.cpu.execute(
-            seconds * self.costs.cpu_slowdown, weight=weight
-        )
+        return self.cpu.execute(seconds * self.costs.cpu_slowdown)
 
     def accept_and_parse(self) -> Event:
         return self.compute(self.costs.accept_parse_cpu)

@@ -1,6 +1,6 @@
 """Experiment metrics and text reporting."""
 
-from .ascii import bar_chart, series_chart
+from .ascii import bar_chart
 from .export import row_to_dict, rows_to_csv, rows_to_json, write_rows
 from .reporting import format_value, render_table
 from .statistics import (
@@ -16,7 +16,6 @@ __all__ = [
     "render_table",
     "format_value",
     "bar_chart",
-    "series_chart",
     "row_to_dict",
     "rows_to_csv",
     "rows_to_json",

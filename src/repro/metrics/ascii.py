@@ -12,8 +12,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["bar_chart", "block_char", "flame_chart", "series_chart",
-           "sparkline"]
+__all__ = ["bar_chart", "block_char", "flame_chart", "sparkline"]
 
 #: Eighth-block glyphs used by :func:`sparkline`, lowest to highest.
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -174,17 +173,3 @@ def flame_chart(
             f"{100.0 * min_share:g}% pruned"
         )
     return "\n".join(lines)
-
-
-def series_chart(
-    title: str,
-    xs: Sequence[float],
-    series: Sequence[Tuple[str, Sequence[float]]],
-    width: int = 50,
-) -> str:
-    """One bar row per x-value per series (grouped comparison)."""
-    items = []
-    for x, *vals in zip(xs, *(vals for _, vals in series)):
-        for (name, _), v in zip(series, vals):
-            items.append((f"{name} @ {x:g}", v))
-    return bar_chart(title, items, width=width)

@@ -33,8 +33,8 @@ property the test suite pins down — and the reported ``busy`` time
 (union of child-span cover) never exceeds the makespan.
 
 Aggregation produces a cluster-wide critical-path profile with
-p50/p95/p99 per segment and per-outcome groupings; the blame-rooted
-flame folding lives in :func:`repro.obs.flame.fold_blame`.  Export is
+p50/p95/p99 per segment and per-outcome groupings; :func:`fold_aggregate`
+folds it into blame-rooted flame stacks.  Export is
 deterministic JSON (sorted keys, compact separators): same seed ⇒
 byte-identical ``--critical-out`` files.
 """

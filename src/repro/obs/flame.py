@@ -34,7 +34,7 @@ from .trace import Span, TraceDump
 from .ioutil import write_text
 
 __all__ = [
-    "fold_spans", "fold_blame", "render_folded", "write_folded", "frame_name",
+    "fold_spans", "render_folded", "write_folded", "frame_name",
 ]
 
 #: Folded counts are integers; sim seconds are scaled to microseconds.
@@ -79,24 +79,6 @@ def fold_spans(dump: TraceDump) -> Dict[str, float]:
                 folded[path] = folded.get(path, 0.0) + self_time
             for child in sorted(kids, key=lambda c: (c.start, c.span_id)):
                 stack.append((child, path + ";" + frame_name(child)))
-    return folded
-
-
-def fold_blame(records) -> Dict[str, float]:
-    """Blame-rooted stacks from critical-path decompositions.
-
-    Takes :class:`~repro.obs.critical.RequestBlame` records and folds
-    them into ``outcome;segment`` stacks — the flame graph of *where the
-    latency went* rather than which span owned it.  Complements
-    :func:`fold_spans` (same folded format, renders through the same
-    :func:`~repro.metrics.ascii.flame_chart`).
-    """
-    folded: Dict[str, float] = {}
-    for record in records:
-        for segment, seconds in record.segments.items():
-            if seconds > 0.0:
-                path = f"{record.outcome};{segment}"
-                folded[path] = folded.get(path, 0.0) + seconds
     return folded
 
 

@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..metrics.ascii import sparkline
 from ..metrics.reporting import render_table
 
+from .analyze import _percentile
 from .ioutil import meta_line, read_text, write_text
 
 __all__ = [
@@ -672,19 +673,6 @@ def load_audit(path: Union[str, Path]) -> AuditDump:
             )
         sink.append(data)
     return AuditDump(requests, lags, drops, double_cached)
-
-
-def _percentile(samples, q: float) -> float:
-    if not samples:
-        return math.nan
-    data = sorted(samples)
-    if len(data) == 1:
-        return data[0]
-    pos = (q / 100.0) * (len(data) - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, len(data) - 1)
-    frac = pos - lo
-    return data[lo] * (1 - frac) + data[hi] * frac
 
 
 def render_taxonomy(dump: AuditDump) -> str:

@@ -29,9 +29,7 @@ __all__ = [
     "Histogram",
     "DEFAULT_BUCKETS",
     "collect_node_stats",
-    "collect_cluster_stats",
     "collect_network",
-    "observe_tally",
 ]
 
 #: Response-latency bucket bounds (seconds); +Inf is implicit.
@@ -550,12 +548,6 @@ def collect_node_stats(registry: MetricsRegistry, stats) -> None:
                 child.observe(sample)
 
 
-def collect_cluster_stats(registry: MetricsRegistry, cluster_stats) -> None:
-    """Populate a registry from every node of a ``ClusterStats``."""
-    for node_stats in cluster_stats.nodes:
-        collect_node_stats(registry, node_stats)
-
-
 def collect_network(registry: MetricsRegistry, network) -> None:
     """LAN-level counters from a :class:`~repro.net.Network`."""
     labels = ("network",)
@@ -568,22 +560,3 @@ def collect_network(registry: MetricsRegistry, network) -> None:
     registry.counter(
         "net_bytes_sent_total", "Payload bytes delivered", labels
     ).labels(network=network.name).inc(network.bytes_sent)
-
-
-def observe_tally(
-    registry: MetricsRegistry,
-    name: str,
-    tally,
-    help: str = "",
-    buckets: Sequence[float] = DEFAULT_BUCKETS,
-    **labels: Any,
-) -> Histogram:
-    """Feed a :class:`~repro.sim.Tally`'s samples into a histogram."""
-    hist = registry.histogram(
-        name, help, labelnames=tuple(sorted(labels)), buckets=buckets
-    )
-    child = hist.labels(**labels) if labels else hist._default_child()
-    if tally.keep_samples:
-        for sample in tally.samples:
-            child.observe(sample)
-    return hist

@@ -15,11 +15,11 @@ from .engine import (
     StopSimulation,
     Timeout,
 )
-from .monitor import Tally, TimeSeries
+from .monitor import Tally
 from .probes import Instrumentation
 from .resources import ProcessorSharing, Request, Resource, Store
 from .rng import RandomStreams
-from .sync import Lock, RWLock, Semaphore
+from .sync import RWLock
 
 __all__ = [
     "Simulator",
@@ -34,11 +34,8 @@ __all__ = [
     "Request",
     "Store",
     "ProcessorSharing",
-    "Lock",
     "RWLock",
-    "Semaphore",
     "RandomStreams",
     "Tally",
-    "TimeSeries",
     "Instrumentation",
 ]

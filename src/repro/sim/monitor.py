@@ -1,11 +1,11 @@
-"""Measurement helpers: tallies and time-weighted series."""
+"""Measurement helper: a streaming tally of observations."""
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
-__all__ = ["Tally", "TimeSeries"]
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -126,53 +126,3 @@ class Tally:
             f"<Tally {self.name!r} n={self.count} mean={self.mean:.6g} "
             f"min={self.minimum:.6g} max={self.maximum:.6g}>"
         )
-
-
-class TimeSeries:
-    """A piecewise-constant signal sampled at change points.
-
-    Records ``(time, value)`` pairs and integrates for the time-weighted
-    average — used for queue lengths and CPU load traces.
-    """
-
-    def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0):
-        self.name = name
-        self.points: List[Tuple[float, float]] = [(start_time, initial)]
-
-    def record(self, time: float, value: float) -> None:
-        last_t, _ = self.points[-1]
-        if time < last_t:
-            raise ValueError(f"time went backwards: {time} < {last_t}")
-        self.points.append((time, value))
-
-    @property
-    def current(self) -> float:
-        return self.points[-1][1]
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Time-weighted mean of the signal from its start to ``until``."""
-        end = until if until is not None else self.points[-1][0]
-        start = self.points[0][0]
-        if end <= start:
-            return self.points[0][1]
-        area = 0.0
-        for (t0, v0), (t1, _v1) in zip(self.points, self.points[1:]):
-            hi = min(t1, end)
-            if hi > t0:
-                area += v0 * (hi - t0)
-            if t1 >= end:
-                break
-        else:
-            t_last, v_last = self.points[-1]
-            if end > t_last:
-                area += v_last * (end - t_last)
-        return area / (end - start)
-
-    def maximum(self) -> float:
-        return max(v for _, v in self.points)
-
-    def values(self) -> Sequence[float]:
-        return [v for _, v in self.points]
-
-    def __repr__(self) -> str:
-        return f"<TimeSeries {self.name!r} points={len(self.points)} current={self.current}>"

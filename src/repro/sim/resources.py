@@ -215,22 +215,20 @@ class Store:
 class Job:
     """One unit of work submitted to a :class:`ProcessorSharing` CPU."""
 
-    __slots__ = ("demand", "remaining", "done", "start_time", "weight")
+    __slots__ = ("demand", "remaining", "done", "start_time")
 
-    def __init__(self, demand: float, done: Event, start_time: float, weight: float):
+    def __init__(self, demand: float, done: Event, start_time: float):
         self.demand = demand
         self.remaining = demand
         self.done = done
         self.start_time = start_time
-        self.weight = weight
 
 
 class ProcessorSharing:
     """Egalitarian processor-sharing CPU bank.
 
     ``n`` runnable jobs on ``ncpus`` processors each progress at rate
-    ``min(1, ncpus / total_weight) * weight``.  Weights allow cheap modelling
-    of nice values; the default weight is 1.
+    ``min(1, ncpus / n)``.
 
     The schedule is recomputed lazily: state advances only when a job
     arrives or the earliest completion fires.  Stale completion wake-ups are
@@ -247,11 +245,6 @@ class ProcessorSharing:
         self._next_id = 0
         self._last_advance = sim.now
         self._version = 0
-        #: Sticky flag: True while every job ever submitted had weight 1.0.
-        #: Unit weights are the overwhelmingly common case and admit a
-        #: cheaper advance/reschedule (multiplying by 1.0 is a float no-op,
-        #: so the fast path is bit-identical to the general one).
-        self._unit_weights = True
         self.busy_time = 0.0  # integral of utilised CPU-seconds
         self.total_demand_served = 0.0
         #: Optional :class:`repro.obs.profiler.ResourceProbe`.
@@ -291,19 +284,9 @@ class ProcessorSharing:
         if dt <= 0 or not jobs:
             return self.busy_time
         served = 0.0
-        if self._unit_weights:
-            factor = min(1.0, self.ncpus / float(len(jobs)))
-            quantum = dt * factor
-            for job in jobs.values():
-                served += quantum if quantum <= job.remaining else job.remaining
-        else:
-            total_weight = self._total_weight()
-            factor = min(1.0, self.ncpus / total_weight)
-            for job in jobs.values():
-                progress = dt * (factor * job.weight)
-                if progress > job.remaining:
-                    progress = job.remaining
-                served += progress
+        quantum = dt * min(1.0, self.ncpus / float(len(jobs)))
+        for job in jobs.values():
+            served += quantum if quantum <= job.remaining else job.remaining
         return self.busy_time + served
 
     def execute(self, demand: float, weight: float = 1.0) -> Event:
@@ -311,19 +294,22 @@ class ProcessorSharing:
 
         The event value is the job's *sojourn time* (completion - submission),
         which under load exceeds ``demand``.
+
+        ``weight`` must be ``1.0``: every job gets an equal share.  The
+        parameter remains only because the benchmark's call counter in
+        ``perf/rep.py`` passes it positionally; the benchmark change that
+        drops that argument removes it.
         """
         if demand < 0:
             raise ValueError(f"negative demand {demand}")
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        if weight != 1.0:
+            raise ValueError(f"weight must be 1.0, got {weight}")
         done = Event(self.sim)
         if demand <= _EPS:
             done.succeed(0.0)
             return done
         self._advance()
-        if weight != 1.0:
-            self._unit_weights = False
-        job = Job(demand, done, self.sim.now, weight)
+        job = Job(demand, done, self.sim.now)
         self._jobs[self._next_id] = job
         self._next_id += 1
         if self.probe is not None:
@@ -332,23 +318,11 @@ class ProcessorSharing:
         return done
 
     # -- internals --------------------------------------------------------
-    def _total_weight(self) -> float:
-        return sum(job.weight for job in self._jobs.values())
-
-    def _rate(self, job: Job, total_weight: float) -> float:
-        """Service rate for ``job`` given the current mix."""
-        if total_weight <= 0:
-            return 0.0
-        return min(1.0, self.ncpus / total_weight) * job.weight
-
     def _advance(self) -> None:
         """Progress all running jobs up to ``sim.now``.
 
-        The shared-rate factor ``min(1, ncpus / W)`` is identical for every
-        job at a given instant, so it is hoisted out of the loop; with unit
-        weights the per-job rate equals the factor itself (``x * 1.0 == x``
-        exactly), so the whole per-job quantum is hoisted too.  Both paths
-        perform bit-identical float operations to the naive per-job formula.
+        Every job runs at the same rate ``min(1, ncpus / n)`` at a given
+        instant, so the per-job quantum is computed once, outside the loop.
         """
         now = self.sim.now
         dt = now - self._last_advance
@@ -358,32 +332,16 @@ class ProcessorSharing:
             return
         served = 0.0
         finished = None
-        if self._unit_weights:
-            factor = min(1.0, self.ncpus / float(len(jobs)))
-            quantum = dt * factor
-            for jid, job in jobs.items():
-                progress = quantum if quantum <= job.remaining else job.remaining
-                job.remaining -= progress
-                served += progress
-                if job.remaining <= _EPS:
-                    if finished is None:
-                        finished = [jid]
-                    else:
-                        finished.append(jid)
-        else:
-            total_weight = self._total_weight()
-            factor = min(1.0, self.ncpus / total_weight)
-            for jid, job in jobs.items():
-                progress = dt * (factor * job.weight)
-                if progress > job.remaining:
-                    progress = job.remaining
-                job.remaining -= progress
-                served += progress
-                if job.remaining <= _EPS:
-                    if finished is None:
-                        finished = [jid]
-                    else:
-                        finished.append(jid)
+        quantum = dt * min(1.0, self.ncpus / float(len(jobs)))
+        for jid, job in jobs.items():
+            progress = quantum if quantum <= job.remaining else job.remaining
+            job.remaining -= progress
+            served += progress
+            if job.remaining <= _EPS:
+                if finished is None:
+                    finished = [jid]
+                else:
+                    finished.append(jid)
         self.busy_time += served
         self.total_demand_served += served
         if finished is not None:
@@ -400,24 +358,14 @@ class ProcessorSharing:
         jobs = self._jobs
         if not jobs:
             return
-        if self._unit_weights:
-            # rate == factor for every job, and x / factor is monotone in x,
-            # so the earliest completion belongs to the smallest remaining —
-            # one comparison pass plus a single division.
-            factor = min(1.0, self.ncpus / float(len(jobs)))
-            least = None
-            for job in jobs.values():
-                if least is None or job.remaining < least:
-                    least = job.remaining
-            next_completion = least / factor
-        else:
-            total_weight = self._total_weight()
-            factor = min(1.0, self.ncpus / total_weight)
-            next_completion = None
-            for job in jobs.values():
-                eta = job.remaining / (factor * job.weight)
-                if next_completion is None or eta < next_completion:
-                    next_completion = eta
+        # Every job runs at the same rate, so the earliest completion belongs
+        # to the smallest remaining: one comparison pass, one division.
+        factor = min(1.0, self.ncpus / float(len(jobs)))
+        least = None
+        for job in jobs.values():
+            if least is None or job.remaining < least:
+                least = job.remaining
+        next_completion = least / factor
         version = self._version
         timeout = self.sim.timeout(next_completion)
         timeout.callbacks.append(lambda _evt: self._on_wakeup(version))

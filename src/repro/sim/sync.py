@@ -1,12 +1,12 @@
-"""Synchronization primitives for simulated multi-threaded servers.
+"""Reader/writer lock for simulated multi-threaded servers.
 
 The paper's cache directory is protected by *per-table reader/writer locks*
 (its locking-granularity discussion is §4.2), so :class:`RWLock` is a first-
 class citizen here, with contention counters exposed for the locking
 ablation benchmark.
 
-Every primitive makes its wait queue on the first wait: an N-node
-cluster builds N² table locks, and most of them are never contended.
+The lock makes its wait queue on the first wait: an N-node cluster
+builds N² table locks, and most of them are never contended.
 """
 
 from __future__ import annotations
@@ -16,97 +16,12 @@ from typing import Deque, Optional, Tuple
 
 from .engine import Event, Simulator
 
-__all__ = ["Lock", "Semaphore", "RWLock"]
+__all__ = ["RWLock"]
 
 
 def _len(queue: Optional[Deque]) -> int:
     """Length of a wait queue that may not have been made yet."""
     return len(queue) if queue else 0
-
-
-class Lock:
-    """A FIFO mutex.  ``acquire`` returns an event; ``release`` frees it."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: Optional[Deque[Event]] = None
-        # contention statistics
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-        self.wait_time = 0.0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        event = Event(self.sim)
-        self.acquisitions += 1
-        if not self._locked:
-            self._locked = True
-            event.succeed()
-        else:
-            self.contended_acquisitions += 1
-            start = self.sim.now
-            event.callbacks.append(
-                lambda _evt: self._note_wait(self.sim.now - start)
-            )
-            if self._waiters is None:
-                self._waiters = deque()
-            self._waiters.append(event)
-        return event
-
-    def _note_wait(self, waited: float) -> None:
-        self.wait_time += waited
-
-    def release(self) -> None:
-        if not self._locked:
-            raise RuntimeError(f"release of unlocked {self.name or 'Lock'}")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._locked = False
-
-    def __repr__(self) -> str:
-        return f"<Lock {self.name!r} locked={self._locked} waiters={_len(self._waiters)}>"
-
-
-class Semaphore:
-    """A counting semaphore with FIFO wake-up order."""
-
-    def __init__(self, sim: Simulator, value: int = 1, name: str = ""):
-        if value < 0:
-            raise ValueError(f"initial value must be >= 0, got {value}")
-        self.sim = sim
-        self.name = name
-        self._value = value
-        self._waiters: Optional[Deque[Event]] = None
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        event = Event(self.sim)
-        if self._value > 0:
-            self._value -= 1
-            event.succeed()
-        else:
-            if self._waiters is None:
-                self._waiters = deque()
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._value += 1
-
-    def __repr__(self) -> str:
-        return f"<Semaphore {self.name!r} value={self._value} waiters={_len(self._waiters)}>"
 
 
 class RWLock:

@@ -7,12 +7,6 @@ from .analysis import (
     analyze_caching_potential,
 )
 from .describe import TraceSummary, describe_trace, render_trace_summary
-from .locality import (
-    FenwickTree,
-    LocalityProfile,
-    locality_profile,
-    stack_distances,
-)
 from .io import load_trace, save_trace, trace_from_jsonl, trace_to_jsonl
 from .logfile import (
     ClfParseError,
@@ -61,8 +55,4 @@ __all__ = [
     "TraceSummary",
     "describe_trace",
     "render_trace_summary",
-    "FenwickTree",
-    "LocalityProfile",
-    "locality_profile",
-    "stack_distances",
 ]

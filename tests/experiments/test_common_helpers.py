@@ -7,20 +7,11 @@ from repro.experiments import (
     PAPER_1S_ROW,
     run_cluster_trace,
     run_single_server_fleet,
-    single_swala,
     warm_cluster,
 )
 from repro.servers import NcsaHttpd
 from repro.sim import Simulator
 from repro.workload import Request, Trace, nullcgi_trace
-
-
-class TestSingleSwala:
-    def test_builds_isolated_node(self):
-        sim = Simulator()
-        server, network = single_swala(sim, SwalaConfig(mode=CacheMode.NONE))
-        assert server.name == "srv"
-        assert network.mailbox("srv", "http") is server.listen_box
 
 
 class TestRunSingleServerFleet:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import bar_chart, series_chart
+from repro.metrics import bar_chart
 
 
 class TestBarChart:
@@ -32,17 +32,6 @@ class TestBarChart:
     def test_bad_width(self):
         with pytest.raises(ValueError):
             bar_chart("t", [("a", 1.0)], width=0)
-
-
-class TestSeriesChart:
-    def test_groups_by_x(self):
-        out = series_chart(
-            "rt", [1, 2], [("no-cache", [4.0, 2.0]), ("coop", [3.0, 1.5])]
-        )
-        lines = out.splitlines()
-        assert "no-cache @ 1" in lines[1]
-        assert "coop @ 1" in lines[2]
-        assert "no-cache @ 2" in lines[3]
 
 
 class TestEncodingFallback:

@@ -17,7 +17,6 @@ from repro.obs.critical import (
     to_json,
     write_critical,
 )
-from repro.obs.flame import fold_blame
 from repro.obs.trace import Span, TraceDump
 
 
@@ -239,6 +238,18 @@ def test_load_critical_rejects_foreign_json(tmp_path):
     path.write_text(json.dumps({"resources": {}}))
     with pytest.raises(ValueError):
         load_critical(path)
+
+
+def fold_blame(records):
+    """Reference blame-rooted folding, straight from per-request records:
+    ``fold_aggregate`` over the aggregate must reproduce it."""
+    folded = {}
+    for record in records:
+        for segment, seconds in record.segments.items():
+            if seconds > 0.0:
+                path = f"{record.outcome};{segment}"
+                folded[path] = folded.get(path, 0.0) + seconds
+    return folded
 
 
 def test_fold_blame_stacks():

@@ -11,7 +11,6 @@ from repro.obs import (
     MetricsRegistry,
     collect_network,
     collect_node_stats,
-    observe_tally,
 )
 
 
@@ -194,16 +193,6 @@ class TestAdapters:
         assert 'swala_cache_hits_total{node="swala1",type="remote"} 1' in text
         assert 'net_messages_sent_total{network="lan"}' in text
         assert "swala_response_seconds_bucket" in text
-
-    def test_observe_tally(self, reg):
-        from repro.sim import Tally
-
-        tally = Tally("t", keep_samples=True)
-        for v in (0.01, 0.2):
-            tally.observe(v)
-        observe_tally(reg, "t_seconds", tally, node="n0")
-        text = reg.render_prometheus()
-        assert 't_seconds_count{node="n0"} 2' in text
 
 
 class TestPromtoolRules:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.net import Network
-from repro.sim import Lock, RWLock, Simulator
+from repro.sim import RWLock, Simulator
 
 # Each actor: (kind, start_delay, hold_time)
 actors = st.lists(
@@ -85,40 +85,6 @@ class TestRWLockSafety:
             sim.process(actor(i, kind, delay, hold))
         sim.run()
         assert sorted(done) == list(range(len(schedule)))
-
-
-class TestLockSafety:
-    @given(
-        schedule=st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=3, allow_nan=False),
-                st.floats(min_value=0.01, max_value=1, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_mutual_exclusion_always(self, schedule):
-        sim = Simulator()
-        lock = Lock(sim)
-        inside = {"n": 0}
-        peak = {"n": 0}
-
-        def actor(delay, hold):
-            yield sim.timeout(delay)
-            yield lock.acquire()
-            inside["n"] += 1
-            peak["n"] = max(peak["n"], inside["n"])
-            yield sim.timeout(hold)
-            inside["n"] -= 1
-            lock.release()
-
-        for delay, hold in schedule:
-            sim.process(actor(delay, hold))
-        sim.run()
-        assert peak["n"] == 1
-        assert not lock.locked
 
 
 class TestNetworkConservation:

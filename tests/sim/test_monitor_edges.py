@@ -1,10 +1,10 @@
-"""Edge cases for Tally and TimeSeries (sim.monitor)."""
+"""Edge cases for Tally (sim.monitor)."""
 
 import math
 
 import pytest
 
-from repro.sim import Tally, TimeSeries
+from repro.sim import Tally
 
 
 # -- Tally -------------------------------------------------------------------
@@ -89,41 +89,3 @@ def test_merge_empty_cases():
     assert (a.count, a.mean) == (1, 7.0)
     b.merge(Tally())          # empty into populated: no-op
     assert (b.count, b.mean) == (1, 7.0)
-
-
-# -- TimeSeries --------------------------------------------------------------
-
-def test_zero_width_window_returns_initial():
-    ts = TimeSeries(initial=4.0, start_time=2.0)
-    assert ts.time_average() == 4.0          # no elapsed time yet
-    assert ts.time_average(until=2.0) == 4.0
-    assert ts.time_average(until=1.0) == 4.0  # window before start
-
-
-def test_time_average_piecewise_and_extension():
-    ts = TimeSeries(initial=0.0)
-    ts.record(1.0, 2.0)
-    ts.record(3.0, 6.0)
-    # 0·1 + 2·2 over [0,3].
-    assert ts.time_average() == pytest.approx(4.0 / 3.0)
-    # Truncated mid-segment: 0·1 + 2·1 over [0,2].
-    assert ts.time_average(until=2.0) == pytest.approx(1.0)
-    # Extended past the last point: the signal holds its last value.
-    assert ts.time_average(until=5.0) == pytest.approx((0.0 + 4.0 + 12.0) / 5.0)
-
-
-def test_backwards_time_rejected_but_simultaneous_ok():
-    ts = TimeSeries()
-    ts.record(1.0, 5.0)
-    ts.record(1.0, 7.0)  # same-instant re-record is allowed
-    assert ts.current == 7.0
-    with pytest.raises(ValueError, match="backwards"):
-        ts.record(0.5, 1.0)
-
-
-def test_maximum_and_values():
-    ts = TimeSeries(initial=1.0)
-    ts.record(1.0, 9.0)
-    ts.record(2.0, 4.0)
-    assert ts.maximum() == 9.0
-    assert ts.values() == [1.0, 9.0, 4.0]

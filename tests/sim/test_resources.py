@@ -319,20 +319,11 @@ class TestProcessorSharing:
         with pytest.raises(ValueError):
             cpu.execute(-1.0)
 
-    def test_weighted_sharing(self, sim):
+    def test_non_unit_weight_rejected(self, sim):
         cpu = ProcessorSharing(sim, ncpus=1)
-        done = {}
-
-        def proc(tag, demand, weight):
-            yield cpu.execute(demand, weight=weight)
-            done[tag] = sim.now
-
-        # Weight 3 job gets 3/4 of the CPU, weight 1 job gets 1/4.
-        sim.process(proc("heavy", 3.0, 3.0))
-        sim.process(proc("light", 1.0, 1.0))
-        sim.run()
-        assert done["heavy"] == pytest.approx(4.0)
-        assert done["light"] == pytest.approx(4.0)
+        with pytest.raises(ValueError, match="weight"):
+            cpu.execute(1.0, 3.0)
+        assert cpu.load == 0
 
     def test_utilization_accounting(self, sim):
         cpu = ProcessorSharing(sim, ncpus=1)
@@ -371,25 +362,6 @@ class TestProcessorSharing:
         # The mid-run reading saw the in-flight busy second exactly.
         assert readings == [pytest.approx(1.0), pytest.approx(1.0)]
         assert done == [pytest.approx(2.0)]
-
-    def test_utilization_weighted_midrun_projection(self, sim):
-        cpu = ProcessorSharing(sim, ncpus=1)
-        readings = []
-
-        def worker(demand, weight):
-            yield cpu.execute(demand, weight=weight)
-
-        def observer():
-            yield sim.timeout(2.0)
-            readings.append(cpu.projected_busy_time())
-
-        sim.process(worker(3.0, 3.0))
-        sim.process(worker(1.0, 1.0))
-        sim.process(observer())
-        sim.run()
-        # Both jobs busy the single CPU continuously through t=2.
-        assert readings == [pytest.approx(2.0)]
-        assert cpu.busy_time == pytest.approx(4.0)
 
     def test_load_counts_active_jobs(self, sim):
         cpu = ProcessorSharing(sim, ncpus=1)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import RandomStreams, Tally, TimeSeries
+from repro.sim import RandomStreams, Tally
 
 
 class TestRandomStreams:
@@ -101,34 +101,3 @@ class TestTally:
         a2 = Tally()
         a2.merge(Tally())
         assert a2.count == 0
-
-
-class TestTimeSeries:
-    def test_time_average_piecewise(self):
-        ts = TimeSeries(initial=0.0)
-        ts.record(2.0, 10.0)  # 0 for [0,2), 10 for [2,4)
-        ts.record(4.0, 0.0)
-        assert ts.time_average(until=4.0) == pytest.approx(5.0)
-
-    def test_time_average_extends_last_value(self):
-        ts = TimeSeries(initial=2.0)
-        ts.record(1.0, 4.0)
-        # value 2 on [0,1), 4 on [1,3): mean = (2 + 8)/3
-        assert ts.time_average(until=3.0) == pytest.approx(10.0 / 3.0)
-
-    def test_backwards_time_rejected(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(4.0, 2.0)
-
-    def test_current_and_maximum(self):
-        ts = TimeSeries(initial=1.0)
-        ts.record(1.0, 7.0)
-        ts.record(2.0, 3.0)
-        assert ts.current == 3.0
-        assert ts.maximum() == 7.0
-
-    def test_degenerate_interval(self):
-        ts = TimeSeries(initial=5.0)
-        assert ts.time_average(until=0.0) == 5.0

@@ -1,96 +1,13 @@
-"""Unit tests for Lock, Semaphore, and the reader/writer lock."""
+"""Unit tests for the reader/writer lock."""
 
 import pytest
 
-from repro.sim import Lock, RWLock, Semaphore, Simulator
+from repro.sim import RWLock, Simulator
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestLock:
-    def test_mutual_exclusion(self, sim):
-        lock = Lock(sim)
-        trace = []
-
-        def proc(tag):
-            yield lock.acquire()
-            trace.append(("in", tag, sim.now))
-            yield sim.timeout(2)
-            trace.append(("out", tag, sim.now))
-            lock.release()
-
-        sim.process(proc("a"))
-        sim.process(proc("b"))
-        sim.run()
-        assert trace == [
-            ("in", "a", 0),
-            ("out", "a", 2),
-            ("in", "b", 2),
-            ("out", "b", 4),
-        ]
-
-    def test_fifo_handoff(self, sim):
-        lock = Lock(sim)
-        order = []
-
-        def proc(tag):
-            yield lock.acquire()
-            order.append(tag)
-            yield sim.timeout(1)
-            lock.release()
-
-        for tag in "abcd":
-            sim.process(proc(tag))
-        sim.run()
-        assert order == ["a", "b", "c", "d"]
-
-    def test_release_unlocked_rejected(self, sim):
-        with pytest.raises(RuntimeError):
-            Lock(sim).release()
-
-    def test_contention_counters(self, sim):
-        lock = Lock(sim)
-
-        def proc():
-            yield lock.acquire()
-            yield sim.timeout(3)
-            lock.release()
-
-        sim.process(proc())
-        sim.process(proc())
-        sim.run()
-        assert lock.acquisitions == 2
-        assert lock.contended_acquisitions == 1
-        assert lock.wait_time == pytest.approx(3.0)
-
-
-class TestSemaphore:
-    def test_initial_permits(self, sim):
-        sem = Semaphore(sim, value=2)
-        entered = []
-
-        def proc(tag):
-            yield sem.acquire()
-            entered.append((tag, sim.now))
-            yield sim.timeout(5)
-            sem.release()
-
-        for tag in "abc":
-            sim.process(proc(tag))
-        sim.run()
-        assert entered == [("a", 0), ("b", 0), ("c", 5)]
-
-    def test_release_without_waiters_increments(self, sim):
-        sem = Semaphore(sim, value=0)
-        sem.release()
-        assert sem.value == 1
-
-    def test_negative_value_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Semaphore(sim, value=-1)
 
 
 class TestRWLock:
@@ -209,10 +126,6 @@ class TestRWLock:
         # Wait queues are only made on the first wait.
         assert repr(RWLock(sim, name="tbl")) == (
             "<RWLock 'tbl' readers=0 writer=False waiters=0>"
-        )
-        assert repr(Lock(sim, name="mu")) == "<Lock 'mu' locked=False waiters=0>"
-        assert repr(Semaphore(sim, 2, name="sem")) == (
-            "<Semaphore 'sem' value=2 waiters=0>"
         )
 
     def test_fifo_grants_after_the_queue_drains(self, sim):

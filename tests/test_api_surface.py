@@ -19,16 +19,16 @@ class TestPublicExports:
                             "CacheMode", "DependencyRegistry", "TtlRules"]),
             ("repro.servers", ["NcsaHttpd", "EnterpriseServer", "AccessLog"]),
             ("repro.workload", ["Trace", "Request", "generate_adl_trace",
-                                "load_clf", "stack_distances"]),
-            ("repro.clients", ["ClientFleet", "OpenLoopSource", "WebStoneRun"]),
+                                "load_clf"]),
+            ("repro.clients", ["ClientFleet", "OpenLoopSource"]),
             ("repro.metrics", ["render_table", "batch_means_ci", "write_rows"]),
             ("repro.lb", ["LoadBalancer", "BALANCER_POLICIES"]),
             ("repro.proxy", ["ProxyCache"]),
-            ("repro.experiments", ["run_table1", "run_figure4", "replicate"]),
+            ("repro.experiments", ["run_table1", "run_figure4"]),
             ("repro.obs", ["TraceCollector", "Span", "MetricsRegistry",
                            "request_records", "render_breakdown",
                            "load_jsonl", "attach"]),
-            ("repro.experiments.parallel", ["run_grid", "map_parallel"]),
+            ("repro.experiments.parallel", ["map_parallel"]),
         ],
     )
     def test_names_importable(self, module, names):
@@ -45,7 +45,7 @@ class TestReprs:
     def test_substrate_reprs(self):
         from repro.hosts import Machine
         from repro.net import Network
-        from repro.sim import Lock, ProcessorSharing, RandomStreams, Resource, RWLock, Store, Tally
+        from repro.sim import ProcessorSharing, RandomStreams, Resource, RWLock, Store, Tally
 
         sim = Simulator()
         machine = Machine(sim, "m0")
@@ -53,7 +53,6 @@ class TestReprs:
             (Resource(sim, 2, name="res"), "res"),
             (Store(sim, name="box"), "box"),
             (ProcessorSharing(sim, 2, name="cpu"), "cpu"),
-            (Lock(sim, name="mtx"), "mtx"),
             (RWLock(sim, name="rw"), "rw"),
             (RandomStreams(7), "7"),
             (Tally("t"), "t"),

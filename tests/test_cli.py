@@ -60,6 +60,18 @@ class TestParser:
         assert exc.value.code == 2
         assert "must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [
+        ["figure4", "--scale", "0", "--nodes", "1"],
+        ["figure4", "--nodes", "0"],
+        ["table3", "--nodes", "0"],
+        ["table2", "--clients", "0"],
+    ])
+    def test_non_positive_size_is_usage_error(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd)
+        assert exc.value.code == 2
+        assert "must be >" in capsys.readouterr().err
+
 
 class TestProvenanceMeta:
     """The manifest every ``--*-out`` export embeds (``_provenance_meta``)."""
