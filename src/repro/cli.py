@@ -1086,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument(
-        "--nodes", type=int, nargs="+", default=[8, 64, 256, 1024],
+        "--nodes", type=positive_int, nargs="+", default=[8, 64, 256, 1024],
         help="cluster sizes to sweep (default 8 64 256 1024)",
     )
     p.add_argument(
@@ -1102,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="client threads == max active nodes (default 64)",
     )
     p.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=positive_float, default=1.0,
         help="shrink both workload mixes proportionally (smoke runs)",
     )
     p.add_argument("--json-out", help="write per-cell records as JSON")
@@ -1143,7 +1143,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profiler's bottleneck resource at the knee",
     )
     p.add_argument(
-        "--nodes", type=int, nargs="+", default=[1, 4, 8, 16], metavar="N",
+        "--nodes", type=positive_int, nargs="+", default=[1, 4, 8, 16],
+        metavar="N",
         help="cluster sizes to sweep (default 1 4 8 16)",
     )
     p.add_argument(

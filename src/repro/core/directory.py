@@ -61,6 +61,18 @@ class CacheDirectory:
                 n: RWLock(self.sim, name=f"{my_name}.tbl[{n}]") for n in node_names
             }
         self.lookups = 0
+        # Hot-path constants: ``MachineCosts`` is frozen, so each is the
+        # same double the per-call expression would give.
+        costs = machine.costs
+        #: Whether operations take the table/directory lock (all but ENTRY).
+        self._blocking = locking is not LockingGranularity.ENTRY
+        #: Scan CPU of one table under the single table/directory lock.
+        self._table_scan_cpu = costs.directory_lookup_cpu + costs.lock_op_cpu
+        write_cpu = costs.directory_update_cpu
+        if not self._blocking:
+            write_cpu += costs.lock_op_cpu
+        #: CPU of one directory update.
+        self._write_cpu = write_cpu
 
     # -- introspection ------------------------------------------------------
     def table(self, node: str) -> Dict[str, CacheEntry]:
@@ -82,18 +94,6 @@ class CacheDirectory:
         locks = set(self._locks.values())
         return sum(l.wait_time for l in locks)
 
-    # -- cost model -----------------------------------------------------------
-    def _scan_cpu(self, node: str) -> float:
-        """CPU demand of scanning one table under the configured locking."""
-        costs = self.machine.costs
-        cpu = costs.directory_lookup_cpu
-        if self.locking is LockingGranularity.ENTRY:
-            # A lock/unlock pair per entry touched along the probe.
-            cpu += costs.lock_op_cpu * max(1, len(self._tables[node]))
-        else:
-            cpu += costs.lock_op_cpu  # the single table/directory lock
-        return cpu
-
     # -- charged operations -----------------------------------------------------
     def lookup(self, url: str, now: float) -> Generator:
         """Process: find a live entry for ``url``; returns it or ``None``.
@@ -103,35 +103,44 @@ class CacheDirectory:
         entries are treated as absent.
         """
         self.lookups += 1
-        for node in self.node_order:
-            lock = self._locks[node]
-            blocking = self.locking is not LockingGranularity.ENTRY
-            if blocking:
+        compute = self.machine.compute
+        tables = self._tables
+        if self._blocking:
+            locks = self._locks
+            scan_cpu = self._table_scan_cpu
+            for node in self.node_order:
+                lock = locks[node]
                 yield lock.acquire_read()
-            try:
-                yield self.machine.compute(self._scan_cpu(node))
-                entry = self._tables[node].get(url)
-            finally:
-                if blocking:
+                try:
+                    yield compute(scan_cpu)
+                    entry = tables[node].get(url)
+                finally:
                     lock.release_read()
-            if entry is not None and not entry.expired(now):
-                return entry
+                if entry is not None and not entry.expired(now):
+                    return entry
+        else:
+            # ENTRY: a lock/unlock pair per entry touched along the probe.
+            costs = self.machine.costs
+            for node in self.node_order:
+                table = tables[node]
+                yield compute(costs.directory_lookup_cpu
+                              + costs.lock_op_cpu * max(1, len(table)))
+                entry = table.get(url)
+                if entry is not None and not entry.expired(now):
+                    return entry
         return None
 
     def _write(self, node: str) -> Generator:
         """Process fragment: charge one write-locked directory update."""
+        if not self._blocking:
+            yield self.machine.compute(self._write_cpu)
+            return
         lock = self._locks[node]
-        blocking = self.locking is not LockingGranularity.ENTRY
-        if blocking:
-            yield lock.acquire_write()
+        yield lock.acquire_write()
         try:
-            cpu = self.machine.costs.directory_update_cpu
-            if self.locking is LockingGranularity.ENTRY:
-                cpu += self.machine.costs.lock_op_cpu
-            yield self.machine.compute(cpu)
+            yield self.machine.compute(self._write_cpu)
         finally:
-            if blocking:
-                lock.release_write()
+            lock.release_write()
 
     def insert(self, entry: CacheEntry) -> Generator:
         """Process: record ``entry`` in the owner's table."""

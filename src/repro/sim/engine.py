@@ -7,11 +7,14 @@ when the event it waits on is processed.
 
 Determinism: events are ordered by ``(time, priority, sequence)`` where the
 sequence number is a global monotonic counter, so two runs with the same
-seed produce identical event orderings.
+seed produce identical event orderings.  Events due at the current
+instant wait in a FIFO lane beside the heap instead of in it; the pop
+rule in :class:`Simulator` keeps the order exactly the single heap's.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
@@ -107,9 +110,7 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        sim = self.sim
-        sim._qpush((sim._now, NORMAL, sim._seq, self))
-        sim._seq += 1
+        self.sim._lane.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -125,7 +126,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, NORMAL)
+        self.sim._lane.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -134,7 +135,7 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = event._ok
         self._value = event._value
-        self.sim._schedule(self, NORMAL)
+        self.sim._lane.append(self)
 
     # -- composition ----------------------------------------------------
     def __and__(self, other: "Event") -> "AllOf":
@@ -170,8 +171,13 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        sim._qpush((sim._now + delay, NORMAL, sim._seq, self))
-        sim._seq += 1
+        now = sim._now
+        at = now + delay
+        if at == now:
+            sim._lane.append(self)
+        else:
+            sim._qpush((at, NORMAL, sim._seq, self))
+            sim._seq += 1
 
 
 class _ConditionValue:
@@ -295,7 +301,7 @@ class _Initialize(Event):
         self._ok = True
         self._value = None
         self.callbacks.append(process._resume_cb)
-        sim._schedule(self, URGENT)
+        sim._urgent(self)
 
 
 class Process(Event):
@@ -341,7 +347,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks.append(self._resume_cb)
-        self.sim._schedule(event, URGENT)
+        self.sim._urgent(event)
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
@@ -412,7 +418,7 @@ class Process(Event):
                 raise value
             self._ok = False
             self._value = value
-            self.sim._schedule(self, NORMAL)
+            self.sim._lane.append(self)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"
@@ -426,15 +432,27 @@ def _stop_simulation(event: Event) -> None:
 
 
 class Simulator:
-    """The event loop: a binary heap of ``(time, prio, seq, event)``.
+    """The event loop: a binary heap of ``(time, prio, seq, event)`` plus
+    a FIFO lane of NORMAL events due at the current instant.
 
-    The sequence component is globally unique, so the heap pops in one
-    and only one order and same-seed runs replay identically.
+    Events are processed in ``(time, priority, sequence)`` order, where
+    the sequence is the scheduling order, so same-seed runs replay
+    identically.  Most events are scheduled for ``now``
+    (grants, completions, deliveries); those skip the heap.  The pop
+    rule, shared by :meth:`step` and :meth:`run`, gives exactly the
+    single heap's order:
+
+    * If the heap's top is at ``now``, pop it.  It is URGENT, which
+      beats every NORMAL event at this instant, or NORMAL and scheduled
+      before the clock reached ``now``, so earlier than every lane entry.
+    * Else take the lane's head: the lane is in scheduling order.
+    * Else pop the heap and advance the clock.  The lane is empty
+      whenever the clock moves.
     """
 
     __slots__ = (
-        "_now", "_heap", "_qpush", "_seq", "_ticks", "_active_process",
-        "obs", "_anon",
+        "_now", "_heap", "_qpush", "_lane", "_seq", "_ticks",
+        "_active_process", "obs", "_anon",
     )
 
     def __init__(self):
@@ -444,6 +462,9 @@ class Simulator:
         #: the engine, and a partial over the C ``heappush`` adds no
         #: interpreter frame.
         self._qpush = partial(heappush, self._heap)
+        #: NORMAL events due at ``now``, in scheduling order; entries are
+        #: bare events (no tuple, no sequence number).
+        self._lane: deque = deque()
         self._seq: int = 0
         self._ticks: int = 0
         self._active_process: Optional[Process] = None
@@ -514,8 +535,13 @@ class Simulator:
         timeout._ok = True
         timeout._defused = False
         timeout.delay = delay
-        self._qpush((self._now + delay, NORMAL, self._seq, timeout))
-        self._seq += 1
+        now = self._now
+        at = now + delay
+        if at == now:
+            self._lane.append(timeout)
+        else:
+            self._qpush((at, NORMAL, self._seq, timeout))
+            self._seq += 1
         return timeout
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -528,21 +554,29 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._qpush((self._now + delay, priority, self._seq, event))
+    def _urgent(self, event: Event) -> None:
+        """Schedule ``event`` now, ahead of every NORMAL event at ``now``."""
+        self._qpush((self._now, URGENT, self._seq, event))
         self._seq += 1
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._lane:
+            return self._now
         heap = self._heap
         return heap[0][0] if heap else inf
 
     def step(self) -> None:
         """Process the single next event."""
-        try:
-            self._now, _, _, event = heappop(self._heap)
-        except IndexError:
-            raise StopSimulation("no scheduled events") from None
+        heap = self._heap
+        lane = self._lane
+        if lane and (not heap or heap[0][0] != self._now):
+            event = lane.popleft()
+        else:
+            try:
+                self._now, _, _, event = heappop(heap)
+            except IndexError:
+                raise StopSimulation("no scheduled events") from None
 
         self._ticks += 1
         callbacks, event.callbacks = event.callbacks, None
@@ -584,16 +618,22 @@ class Simulator:
 
         # The step() loop, inlined with local bindings: this is the hottest
         # loop in the whole reproduction.  Must stay behaviorally identical
-        # to step() — same (time, priority, sequence) pop order, same
-        # callback/failure sequence.  ``heappop`` signals exhaustion
-        # with IndexError (cost-free in the non-raising case).
-        pop = partial(heappop, self._heap)
+        # to step() — same pop rule, same callback/failure sequence.
+        # ``heappop`` signals exhaustion with IndexError (cost-free in the
+        # non-raising case).
+        heap = self._heap
+        lane = self._lane
+        pop = partial(heappop, heap)
+        popleft = lane.popleft
         try:
             while True:
-                try:
-                    self._now, _, _, event = pop()
-                except IndexError:
-                    break
+                if lane and (not heap or heap[0][0] != self._now):
+                    event = popleft()
+                else:
+                    try:
+                        self._now, _, _, event = pop()
+                    except IndexError:
+                        break
                 self._ticks += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:

@@ -20,6 +20,7 @@ analyzer charge wait and service time to individual requests.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Callable, Deque, Dict, Optional
 
 from .engine import Event, Simulator
@@ -231,8 +232,10 @@ class ProcessorSharing:
     ``min(1, ncpus / n)``.
 
     The schedule is recomputed lazily: state advances only when a job
-    arrives or the earliest completion fires.  Stale completion wake-ups are
-    detected with a version counter, so no event cancellation is needed.
+    arrives or the earliest completion fires, in one pass over the jobs
+    that also finds the least remaining demand.  Stale completion
+    wake-ups are detected with a version counter (the wake-up's value),
+    so no event cancellation is needed.
     """
 
     def __init__(self, sim: Simulator, ncpus: int = 1, name: str = ""):
@@ -244,7 +247,12 @@ class ProcessorSharing:
         self._jobs: Dict[int, Job] = {}
         self._next_id = 0
         self._last_advance = sim.now
+        #: Least remaining demand over the jobs, ``inf`` when idle; kept
+        #: so a same-instant submit or wake-up need not rescan the jobs.
+        self._least = inf
         self._version = 0
+        #: Bound once: every submit and wake-up schedules a wake-up.
+        self._wakeup = self._on_wakeup
         self.busy_time = 0.0  # integral of utilised CPU-seconds
         self.total_demand_served = 0.0
         #: Optional :class:`repro.obs.profiler.ResourceProbe`.
@@ -304,44 +312,52 @@ class ProcessorSharing:
             raise ValueError(f"negative demand {demand}")
         if weight != 1.0:
             raise ValueError(f"weight must be 1.0, got {weight}")
-        done = Event(self.sim)
+        sim = self.sim
+        done = Event(sim)
         if demand <= _EPS:
             done.succeed(0.0)
             return done
-        self._advance()
-        job = Job(demand, done, self.sim.now)
+        least = self._advance()
+        job = Job(demand, done, sim._now)
         self._jobs[self._next_id] = job
         self._next_id += 1
         if self.probe is not None:
             self.probe.ps_submit(job)
-        self._reschedule()
+        self._reschedule(demand if demand < least else least)
         return done
 
     # -- internals --------------------------------------------------------
-    def _advance(self) -> None:
-        """Progress all running jobs up to ``sim.now``.
+    def _advance(self) -> float:
+        """Progress all running jobs up to ``sim.now``; return the least
+        remaining demand among the jobs left running (``inf`` if none).
 
         Every job runs at the same rate ``min(1, ncpus / n)`` at a given
         instant, so the per-job quantum is computed once, outside the loop.
         """
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._last_advance
         self._last_advance = now
         jobs = self._jobs
         if dt <= 0 or not jobs:
-            return
+            return self._least
         served = 0.0
+        least = inf
         finished = None
-        quantum = dt * min(1.0, self.ncpus / float(len(jobs)))
+        n = len(jobs)
+        ncpus = self.ncpus
+        quantum = dt * (ncpus / n if n > ncpus else 1.0)
         for jid, job in jobs.items():
-            progress = quantum if quantum <= job.remaining else job.remaining
-            job.remaining -= progress
+            remaining = job.remaining
+            progress = quantum if quantum <= remaining else remaining
+            job.remaining = remaining = remaining - progress
             served += progress
-            if job.remaining <= _EPS:
+            if remaining <= _EPS:
                 if finished is None:
                     finished = [jid]
                 else:
                     finished.append(jid)
+            elif remaining < least:
+                least = remaining
         self.busy_time += served
         self.total_demand_served += served
         if finished is not None:
@@ -351,30 +367,28 @@ class ProcessorSharing:
                 job.done.succeed(now - job.start_time)
                 if probe is not None:
                     probe.ps_complete(job, now)
+        return least
 
-    def _reschedule(self) -> None:
-        """Schedule a wake-up at the earliest projected completion."""
+    def _reschedule(self, least: float) -> None:
+        """Schedule a wake-up at the earliest projected completion.
+
+        Every job runs at the same rate, so the earliest completion
+        belongs to the ``least`` remaining demand: one division.
+        """
         self._version += 1
-        jobs = self._jobs
-        if not jobs:
+        self._least = least
+        n = len(self._jobs)
+        if not n:
             return
-        # Every job runs at the same rate, so the earliest completion belongs
-        # to the smallest remaining: one comparison pass, one division.
-        factor = min(1.0, self.ncpus / float(len(jobs)))
-        least = None
-        for job in jobs.values():
-            if least is None or job.remaining < least:
-                least = job.remaining
-        next_completion = least / factor
-        version = self._version
-        timeout = self.sim.timeout(next_completion)
-        timeout.callbacks.append(lambda _evt: self._on_wakeup(version))
+        ncpus = self.ncpus
+        timeout = self.sim.timeout(
+            least / (ncpus / n if n > ncpus else 1.0), self._version)
+        timeout.callbacks.append(self._wakeup)
 
-    def _on_wakeup(self, version: int) -> None:
-        if version != self._version:
+    def _on_wakeup(self, timeout: Event) -> None:
+        if timeout._value != self._version:
             return  # stale: the job mix changed since this was scheduled
-        self._advance()
-        self._reschedule()
+        self._reschedule(self._advance())
 
     def __repr__(self) -> str:
         return f"<ProcessorSharing {self.name!r} ncpus={self.ncpus} load={self.load}>"

@@ -65,6 +65,10 @@ class TestParser:
         ["figure4", "--nodes", "0"],
         ["table3", "--nodes", "0"],
         ["table2", "--clients", "0"],
+        ["directory-grid", "--nodes", "0", "--mixes", "webstone",
+         "--scale", "0.02"],
+        ["directory-grid", "--scale", "0"],
+        ["capacity", "--nodes", "0", "--duration", "1", "--max-probes", "1"],
     ])
     def test_non_positive_size_is_usage_error(self, capsys, cmd):
         with pytest.raises(SystemExit) as exc:
