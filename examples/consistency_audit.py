@@ -89,7 +89,7 @@ def main():
 
     # Round-trip through the JSONL the CLI flags would write: the report
     # renders from the file format, exactly like `repro audit`.
-    path = oracle.write_jsonl("/tmp/consistency_audit.jsonl")
+    path = oracle.write("/tmp/consistency_audit.jsonl")
     print(render_audit_report(load_audit(path), bins=40))
     print()
     print(render_timeseries_dashboard(log, series=["oracle", "false"]))

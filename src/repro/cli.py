@@ -18,7 +18,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from . import experiments as ex
 from .workload import (
@@ -60,6 +60,40 @@ def _export(rows, args) -> None:
         print(f"(structured rows exported to {export})")
 
 
+class _UsageError(Exception):
+    """A bad input: :func:`main` prints ``error: <message>`` and exits 2."""
+
+
+def _load(path, loader: Callable[[Path], Any], what: str = "file"):
+    """``loader(path)``; a missing file or a ``ValueError`` from the
+    loader becomes a :class:`_UsageError`."""
+    path = Path(path)
+    if not path.exists():
+        raise _UsageError(f"no such {what}: {path}")
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _load_spans(path):
+    """Leniently load a ``--trace-out`` file: a trace truncated mid-write
+    (killed run) still analyzes, its torn lines skipped and reported; a
+    file without a single span is a usage error."""
+    from .obs import load_jsonl
+
+    dump = _load(path, lambda p: load_jsonl(p, strict=False), "trace file")
+    if dump.skipped_lines:
+        print(
+            f"warning: skipped {dump.skipped_lines} malformed line(s) in "
+            f"{path} (truncated trace?)",
+            file=sys.stderr,
+        )
+    if not len(dump):
+        raise _UsageError("no spans in the trace file")
+    return dump
+
+
 def _provenance_meta(args) -> dict:
     """The provenance manifest embedded in every ``--*-out`` export.
 
@@ -98,24 +132,101 @@ def _provenance_meta(args) -> dict:
     }
 
 
+def _note(count: int, what: str) -> str:
+    return f", {count} {what}" if count else ""
+
+
+def _write_critical(observer, path: str, meta: dict) -> str:
+    """Write the ``--critical-out`` blame aggregate; return its summary."""
+    from .obs import aggregate_blame, write_critical
+
+    records = observer.critical_records()
+    write_critical(aggregate_blame(records), path, meta=meta)
+    dropped = observer.profiler.intervals_dropped
+    return (
+        f"(critical: {len(records)} requests decomposed into "
+        f"{path}{_note(dropped, 'intervals dropped at capacity')}; "
+        "inspect with `repro critical`)"
+    )
+
+
+#: One row per ``--*-out`` flag: its help, the :class:`RunObserver
+#: <repro.experiments.common.RunObserver>` collector it writes, and the
+#: line printed once that is written.  Rows are in write order.
+#: ``--critical-out`` is derived (no collector of its own): it needs the
+#: span tree AND span-linked resource intervals (a tracer plus
+#: ``ResourceProfiler(record_intervals=True)``), and its row's function
+#: writes their join; ``--profile-out`` alone keeps interval recording
+#: off so its export stays byte-compatible with committed baselines.
+_OUTPUTS = {
+    "--trace-out": (
+        "collect per-request spans and write them (JSONL; analyze "
+        "with `repro trace`)",
+        "tracer",
+        lambda c, path: f"(trace: {len(c.spans)} spans written to "
+        f"{path}{_note(c.dropped, 'dropped at capacity')})",
+    ),
+    "--metrics-out": (
+        "scrape run metrics into a registry and write it "
+        "(.json => JSON, else Prometheus text)",
+        "registry",
+        lambda c, path: f"(metrics written to {path})",
+    ),
+    "--audit-out": (
+        "attach the consistency oracle and write the per-request "
+        "audit (JSONL; inspect with `repro audit`)",
+        "oracle",
+        lambda c, path: f"(audit: {len(c.audits)} requests written to "
+        f"{path}{_note(c.dropped_records, 'dropped at capacity')}; "
+        "inspect with `repro audit`)",
+    ),
+    "--timeseries-out": (
+        "sample per-node counters (and oracle anomaly counts) "
+        "every --timeseries-dt simulated seconds into a JSONL timeline",
+        "timeseries",
+        lambda c, path: f"(timeseries: {len(c.samples)} samples "
+        f"written to {path})",
+    ),
+    "--profile-out": (
+        "probe every simulated resource (CPUs, disks, NICs, "
+        "mailboxes, thread pools, directory locks) and write the "
+        "utilization profile (JSON; inspect with `repro profile`)",
+        "profiler",
+        lambda c, path: f"(profile: {c.resource_count()} resources "
+        f"written to {path}"
+        f"{_note(c.dropped, 'probes dropped at capacity')}; "
+        "inspect with `repro profile`)",
+    ),
+    "--streaming-out": (
+        "aggregate completions into fixed-width sim-time windows "
+        "(rates, hit ratio, sketched latency quantiles) and write the "
+        "per-window JSONL; perturbation-free (no events scheduled), "
+        "gzip when the path ends in .gz",
+        "streaming",
+        lambda c, path: f"(streaming: {len(c.windows)} windows "
+        f"({sum(1 for w in c.windows if w.saturated)} saturated) "
+        f"written to {path})",
+    ),
+    "--critical-out": (
+        "trace spans + span-linked resource intervals and write "
+        "the critical-path blame aggregate (JSON; inspect with "
+        "`repro critical`); implies tracing and interval profiling",
+        None,
+        _write_critical,
+    ),
+}
+
+
 @contextmanager
 def _observability(args):
-    """Install a run observer when ``--trace-out``/``--metrics-out``/
-    ``--audit-out``/``--timeseries-out``/``--profile-out``/
-    ``--critical-out`` ask for one; write the collected artifacts once
-    the command finishes."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    audit_out = getattr(args, "audit_out", None)
-    timeseries_out = getattr(args, "timeseries_out", None)
-    profile_out = getattr(args, "profile_out", None)
-    critical_out = getattr(args, "critical_out", None)
-    streaming_out = getattr(args, "streaming_out", None)
-    if (
-        not trace_out and not metrics_out and not audit_out
-        and not timeseries_out and not profile_out and not critical_out
-        and not streaming_out
-    ):
+    """Install a run observer with the collectors the ``--*-out`` flags
+    ask for; write each export once the command finishes."""
+    paths = {
+        flag: getattr(args, flag[2:].replace("-", "_"), None)
+        for flag in _OUTPUTS
+    }
+    paths = {flag: path for flag, path in paths.items() if path}
+    if not paths:
         yield None
         return
     from .experiments.common import RunObserver, observe_runs
@@ -128,92 +239,32 @@ def _observability(args):
         TraceCollector,
     )
 
-    # --critical-out needs the span tree AND span-linked resource
-    # intervals; --profile-out alone keeps interval recording off so its
-    # export stays byte-compatible with committed baselines.
-    profiler = None
-    if critical_out:
-        profiler = ResourceProfiler(record_intervals=True)
-    elif profile_out:
-        profiler = ResourceProfiler()
-    observer = RunObserver(
-        tracer=TraceCollector() if (trace_out or critical_out) else None,
-        registry=MetricsRegistry() if metrics_out else None,
-        oracle=ConsistencyOracle() if audit_out else None,
-        timeseries=TimeSeriesLog() if timeseries_out else None,
-        timeseries_dt=getattr(args, "timeseries_dt", 1.0),
-        profiler=profiler,
-        streaming=StreamingTelemetry(
-            window=getattr(args, "streaming_window", 1.0)
-        ) if streaming_out else None,
-    )
+    make = {
+        "tracer": TraceCollector,
+        "registry": MetricsRegistry,
+        "oracle": ConsistencyOracle,
+        "timeseries": TimeSeriesLog,
+        "profiler": ResourceProfiler,
+        "streaming": lambda: StreamingTelemetry(window=args.streaming_window),
+    }
+    names = [_OUTPUTS[flag][1] for flag in paths]
+    collectors = {name: make[name]() for name in names if name}
+    if "--critical-out" in paths:
+        collectors.setdefault("tracer", TraceCollector())
+        collectors["profiler"] = ResourceProfiler(record_intervals=True)
+    observer = RunObserver(timeseries_dt=args.timeseries_dt, **collectors)
     with observe_runs(observer):
         yield observer
-    observer.collect_all()
+    observer.finish()
     meta = _provenance_meta(args)
-    if trace_out:
-        observer.tracer.write_jsonl(trace_out, meta=meta)
-        note = ""
-        if observer.tracer.dropped:
-            note = f", {observer.tracer.dropped} dropped at capacity"
-        print(
-            f"(trace: {len(observer.tracer.spans)} spans written to "
-            f"{trace_out}{note})"
-        )
-    if metrics_out:
-        observer.registry.write(metrics_out, meta=meta)
-        print(f"(metrics written to {metrics_out})")
-    if audit_out:
-        observer.oracle.write_jsonl(audit_out, meta=meta)
-        note = ""
-        if observer.oracle.dropped_records:
-            note = f", {observer.oracle.dropped_records} dropped at capacity"
-        print(
-            f"(audit: {len(observer.oracle.audits)} requests written to "
-            f"{audit_out}{note}; inspect with `repro audit`)"
-        )
-    if timeseries_out:
-        observer.timeseries.write_jsonl(timeseries_out, meta=meta)
-        print(
-            f"(timeseries: {len(observer.timeseries.samples)} samples "
-            f"written to {timeseries_out})"
-        )
-    if profile_out:
-        observer.profiler.write_json(profile_out, meta=meta)
-        note = ""
-        if observer.profiler.dropped:
-            note = f", {observer.profiler.dropped} probes dropped at capacity"
-        print(
-            f"(profile: {observer.profiler.resource_count()} resources "
-            f"written to {profile_out}{note}; inspect with `repro profile`)"
-        )
-    if streaming_out:
-        observer.streaming.write_jsonl(streaming_out, meta=meta)
-        if observer.registry is not None:
-            from .obs import collect_streaming
-
-            collect_streaming(observer.registry, observer.streaming)
-            observer.registry.write(metrics_out, meta=meta)
-        flagged = sum(1 for w in observer.streaming.windows if w.saturated)
-        print(
-            f"(streaming: {len(observer.streaming.windows)} windows "
-            f"({flagged} saturated) written to {streaming_out})"
-        )
-    if critical_out:
-        from .obs import aggregate_blame, write_critical
-
-        records = observer.critical_records()
-        write_critical(aggregate_blame(records), critical_out, meta=meta)
-        note = ""
-        if observer.profiler.intervals_dropped:
-            note = (
-                f", {observer.profiler.intervals_dropped} intervals "
-                "dropped at capacity"
-            )
-        print(
-            f"(critical: {len(records)} requests decomposed into "
-            f"{critical_out}{note}; inspect with `repro critical`)"
-        )
+    for flag, path in paths.items():
+        _, name, summary = _OUTPUTS[flag]
+        if name is None:
+            print(summary(observer, path, meta))
+            continue
+        collector = getattr(observer, name)
+        collector.write(path, meta=meta)
+        print(summary(collector, path))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +397,6 @@ def _cmd_study(args) -> int:
 
 def _cmd_capacity(args) -> int:
     """Adaptive saturation search: the knee rate per cluster size."""
-    import json as _json
-
     from .experiments.capacity import (
         CapacityParams,
         render_knee_table,
@@ -395,15 +444,9 @@ def _cmd_capacity(args) -> int:
         text = text + "\n\n" + "\n\n".join(panels)
     _emit(text, args.output)
     if args.windows_out:
-        from .obs.ioutil import write_text
+        from .obs.ioutil import jsonl_text, write_text
 
-        lines = [
-            _json.dumps(w, sort_keys=True, separators=(",", ":"))
-            for w in windows
-        ]
-        write_text(
-            args.windows_out, "\n".join(lines) + ("\n" if lines else "")
-        )
+        write_text(args.windows_out, jsonl_text(windows))
         print(
             f"(capacity: {len(windows)} windows written to "
             f"{args.windows_out}; diff with `repro diff`)"
@@ -419,16 +462,11 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_analyze_log(args) -> int:
     path = Path(args.logfile)
-    if not path.exists():
-        print(f"error: no such log file: {path}", file=sys.stderr)
-        return 2
-    trace = load_clf(
-        path.read_text().splitlines(),
-        default_cgi_time=args.default_cgi_time,
-    )
+    trace = _load(path, lambda p: load_clf(
+        p.read_text().splitlines(), default_cgi_time=args.default_cgi_time,
+    ), "log file")
     if not len(trace):
-        print("error: no analyzable GET requests in the log", file=sys.stderr)
-        return 2
+        raise _UsageError("no analyzable GET requests in the log")
     rows = analyze_caching_potential(trace, thresholds=args.thresholds)
     text = render_table(
         f"Caching potential for {path.name} ({len(trace)} requests, "
@@ -469,17 +507,10 @@ def _cmd_run_config(args) -> int:
     from .sim import Simulator
     from .workload import describe_trace, render_trace_summary
 
-    config_path = Path(args.configfile)
-    trace_path = Path(args.trace)
-    for path, what in ((config_path, "config"), (trace_path, "trace")):
-        if not path.exists():
-            print(f"error: no such {what} file: {path}", file=sys.stderr)
-            return 2
-    config = load_config(config_path)
-    trace = load_trace(trace_path)
+    config = _load(args.configfile, load_config, "config file")
+    trace = _load(args.trace, load_trace, "trace file")
     if not len(trace):
-        print("error: empty trace", file=sys.stderr)
-        return 2
+        raise _UsageError("empty trace")
 
     sim = Simulator()
     cluster = SwalaCluster(sim, args.nodes, config)
@@ -520,7 +551,6 @@ def _cmd_run_config(args) -> int:
 def _cmd_trace(args) -> int:
     """Analyze a span-trace JSONL written with ``--trace-out``."""
     from .obs import (
-        load_jsonl,
         render_breakdown,
         render_percentiles,
         render_timeline,
@@ -529,22 +559,7 @@ def _cmd_trace(args) -> int:
     )
 
     path = Path(args.tracefile)
-    if not path.exists():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 2
-    # Lenient load: a trace truncated mid-write (killed run) still
-    # analyzes; torn lines are skipped and reported.
-    dump = load_jsonl(path, strict=False)
-    if dump.skipped_lines:
-        print(
-            f"warning: skipped {dump.skipped_lines} malformed line(s) in "
-            f"{path} (truncated trace?)",
-            file=sys.stderr,
-        )
-    if not len(dump):
-        print("error: no spans in the trace file", file=sys.stderr)
-        return 2
-
+    dump = _load_spans(path)
     sections = []
     wants_specific = args.breakdown or args.percentiles or args.timeline
     if wants_specific:
@@ -561,11 +576,9 @@ def _cmd_trace(args) -> int:
                     )
                 )
             except KeyError:
-                print(
-                    f"error: no trace with id {args.trace_id} in {path}",
-                    file=sys.stderr,
-                )
-                return 2
+                raise _UsageError(
+                    f"no trace with id {args.trace_id} in {path}"
+                ) from None
     else:
         sections.append(render_trace_report(dump))
     _emit("\n\n".join(sections), args.output)
@@ -584,18 +597,9 @@ def _cmd_audit(args) -> int:
         render_timeseries_dashboard,
     )
 
-    path = Path(args.auditfile)
-    if not path.exists():
-        print(f"error: no such audit file: {path}", file=sys.stderr)
-        return 2
-    try:
-        dump = load_audit(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    dump = _load(args.auditfile, load_audit, "audit file")
     if not len(dump):
-        print("error: no request records in the audit file", file=sys.stderr)
-        return 2
+        raise _UsageError("no request records in the audit file")
 
     sections = []
     wants_specific = args.taxonomy or args.staleness or args.timeline
@@ -609,11 +613,7 @@ def _cmd_audit(args) -> int:
     else:
         sections.append(render_audit_report(dump, bins=args.bins))
     if args.timeseries:
-        ts_path = Path(args.timeseries)
-        if not ts_path.exists():
-            print(f"error: no such timeseries file: {ts_path}", file=sys.stderr)
-            return 2
-        log = load_timeseries(ts_path)
+        log = _load(args.timeseries, load_timeseries, "timeseries file")
         sections.append(
             render_timeseries_dashboard(log, series=args.series or None)
         )
@@ -626,7 +626,6 @@ def _cmd_profile(args) -> int:
     optional flame-graph folding of a span trace."""
     from .obs import (
         fold_spans,
-        load_jsonl,
         load_profile,
         render_bottlenecks,
         render_profile_report,
@@ -635,15 +634,7 @@ def _cmd_profile(args) -> int:
     )
     from .metrics.ascii import flame_chart
 
-    path = Path(args.profilefile)
-    if not path.exists():
-        print(f"error: no such profile file: {path}", file=sys.stderr)
-        return 2
-    try:
-        profile = load_profile(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    profile = _load(args.profilefile, load_profile, "profile file")
 
     sections = []
     wants_specific = args.bottlenecks or args.resources
@@ -663,11 +654,7 @@ def _cmd_profile(args) -> int:
             )
         )
     if args.trace:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            print(f"error: no such trace file: {trace_path}", file=sys.stderr)
-            return 2
-        folded = fold_spans(load_jsonl(trace_path, strict=False))
+        folded = fold_spans(_load_spans(args.trace))
         if args.folded_out:
             out = write_folded(folded, args.folded_out)
             print(
@@ -684,16 +671,8 @@ def _cmd_diff(args) -> int:
     from .obs import diff_counters, load_counters, render_diff
 
     base_path, cur_path = Path(args.baseline), Path(args.current)
-    for path in (base_path, cur_path):
-        if not path.exists():
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
-    try:
-        base = load_counters(base_path)
-        current = load_counters(cur_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    base = _load(base_path, load_counters)
+    current = _load(cur_path, load_counters)
     deltas = diff_counters(
         base,
         current,
@@ -721,7 +700,6 @@ def _cmd_critical(args) -> int:
         aggregate_blame,
         decompose,
         load_critical,
-        load_jsonl,
         load_profile,
         render_by_outcome,
         render_critical_report,
@@ -730,46 +708,23 @@ def _cmd_critical(args) -> int:
     )
 
     if args.criticalfile:
-        path = Path(args.criticalfile)
-        if not path.exists():
-            print(f"error: no such critical file: {path}", file=sys.stderr)
-            return 2
-        try:
-            data = load_critical(path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        data = _load(args.criticalfile, load_critical, "critical file")
     elif args.trace:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            print(f"error: no such trace file: {trace_path}", file=sys.stderr)
-            return 2
+        dump = _load_spans(args.trace)
         intervals = None
         if args.profile:
-            profile_path = Path(args.profile)
-            if not profile_path.exists():
-                print(
-                    f"error: no such profile file: {profile_path}",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                intervals = load_profile(profile_path).get("intervals")
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        records = decompose(load_jsonl(trace_path, strict=False), intervals)
+            intervals = _load(
+                args.profile, load_profile, "profile file"
+            ).get("intervals")
+        records = decompose(dump, intervals)
         data = aggregate_blame(records)
         if args.export:
             write_critical(data, args.export)
             print(f"(critical aggregate exported to {args.export})")
     else:
-        print(
-            "error: give a --critical-out file or --trace (with optional "
-            "--profile)",
-            file=sys.stderr,
+        raise _UsageError(
+            "give a --critical-out file or --trace (with optional --profile)"
         )
-        return 2
 
     sections = []
     wants_specific = args.segments or args.by_outcome
@@ -800,8 +755,7 @@ def _cmd_whatif(args) -> int:
     try:
         scenarios = [parse_scenario(s) for s in args.scenarios]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
 
     if args.validate:
         rows = validate_scenarios(
@@ -815,32 +769,16 @@ def _cmd_whatif(args) -> int:
         return 1 if worst.error > args.max_error else 0
 
     if not args.trace:
-        print(
-            "error: replay mode needs --trace (a --trace-out JSONL); or "
-            "pass --validate to simulate",
-            file=sys.stderr,
+        raise _UsageError(
+            "replay mode needs --trace (a --trace-out JSONL); or pass "
+            "--validate to simulate"
         )
-        return 2
-    from .obs import load_jsonl, load_profile
+    from .obs import load_profile
 
-    trace_path = Path(args.trace)
-    if not trace_path.exists():
-        print(f"error: no such trace file: {trace_path}", file=sys.stderr)
-        return 2
-    dump = load_jsonl(trace_path, strict=False)
+    dump = _load_spans(args.trace)
     intervals = None
     if args.profile:
-        profile_path = Path(args.profile)
-        if not profile_path.exists():
-            print(
-                f"error: no such profile file: {profile_path}", file=sys.stderr
-            )
-            return 2
-        try:
-            profile = load_profile(profile_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        profile = _load(args.profile, load_profile, "profile file")
         intervals = profile.get("intervals")
         if intervals is None:
             print(
@@ -855,11 +793,7 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_describe_trace(args) -> int:
-    path = Path(args.tracefile)
-    if not path.exists():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 2
-    trace = load_trace(path)
+    trace = _load(args.tracefile, load_trace, "trace file")
     _emit(render_trace_summary(describe_trace(trace, top_k=args.top)), args.output)
     return 0
 
@@ -873,12 +807,10 @@ def _cmd_bench(args) -> int:
     if names:
         unknown = [n for n in names if n not in _bench.BENCH_WORKLOADS]
         if unknown:
-            print(
-                "error: unknown benchmark(s): " + ", ".join(unknown)
-                + "; choose from " + ", ".join(_bench.BENCH_WORKLOADS),
-                file=sys.stderr,
+            raise _UsageError(
+                "unknown benchmark(s): " + ", ".join(unknown)
+                + "; choose from " + ", ".join(_bench.BENCH_WORKLOADS)
             )
-            return 2
     results = _bench.run_bench(rounds=args.rounds, names=names)
     print(_bench.render_bench(results))
     out = Path(args.output) if args.output else Path(
@@ -895,21 +827,18 @@ def _cmd_bench(args) -> int:
                 if c.resolve() != out.resolve()
             )
             if not candidates:
-                print(
-                    "error: --compare found no committed BENCH_2*.json "
-                    "in the current directory",
-                    file=sys.stderr,
+                raise _UsageError(
+                    "--compare found no committed BENCH_2*.json in the "
+                    "current directory"
                 )
-                return 2
             snap_path = candidates[-1]
         else:
             snap_path = Path(args.compare)
-        if not snap_path.exists():
-            print(f"error: no such snapshot: {snap_path}", file=sys.stderr)
-            return 2
         import json as _json
 
-        snapshot = _json.loads(snap_path.read_text())
+        snapshot = _load(
+            snap_path, lambda p: _json.loads(p.read_text()), "snapshot"
+        )
         text, regressed = _bench.compare_with_snapshot(
             results, snapshot, threshold=args.compare_threshold
         )
@@ -966,49 +895,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def observability(p):
-        p.add_argument(
-            "--trace-out",
-            help="collect per-request spans and write them (JSONL; analyze "
-            "with `repro trace`)",
-        )
-        p.add_argument(
-            "--metrics-out",
-            help="scrape run metrics into a registry and write it "
-            "(.json => JSON, else Prometheus text)",
-        )
-        p.add_argument(
-            "--audit-out",
-            help="attach the consistency oracle and write the per-request "
-            "audit (JSONL; inspect with `repro audit`)",
-        )
-        p.add_argument(
-            "--timeseries-out",
-            help="sample per-node counters (and oracle anomaly counts) "
-            "every --timeseries-dt simulated seconds into a JSONL timeline",
-        )
+        for flag, (text, _, _) in _OUTPUTS.items():
+            p.add_argument(flag, help=text)
         p.add_argument(
             "--timeseries-dt", type=positive_float, default=1.0,
             metavar="SECONDS",
             help="sampling interval for --timeseries-out (default 1.0)",
-        )
-        p.add_argument(
-            "--profile-out",
-            help="probe every simulated resource (CPUs, disks, NICs, "
-            "mailboxes, thread pools, directory locks) and write the "
-            "utilization profile (JSON; inspect with `repro profile`)",
-        )
-        p.add_argument(
-            "--critical-out",
-            help="trace spans + span-linked resource intervals and write "
-            "the critical-path blame aggregate (JSON; inspect with "
-            "`repro critical`); implies tracing and interval profiling",
-        )
-        p.add_argument(
-            "--streaming-out",
-            help="aggregate completions into fixed-width sim-time windows "
-            "(rates, hit ratio, sketched latency quantiles) and write the "
-            "per-window JSONL; perturbation-free (no events scheduled), "
-            "gzip when the path ends in .gz",
         )
         p.add_argument(
             "--streaming-window", type=positive_float, default=1.0,
@@ -1440,7 +1332,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with _observability(args):
-        return args.func(args)
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -97,7 +97,10 @@ def parse_config(text: str) -> SwalaConfig:
     """Parse INI text into a :class:`SwalaConfig`."""
     parser = configparser.ConfigParser(delimiters=("=",))
     parser.optionxform = str  # preserve URL-prefix case
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"not a Swala config file: {exc}") from None
 
     kw: dict = {}
     if parser.has_section("cache"):

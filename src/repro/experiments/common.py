@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..clients import ClientFleet, ClientThread
@@ -17,7 +16,6 @@ from ..workload import Trace
 
 __all__ = [
     "RunObserver",
-    "ObserverSpec",
     "observe_runs",
     "current_observer",
     "oracle_forces_serial",
@@ -38,34 +36,54 @@ class RunObserver:
     :meth:`attach` before running.  Metrics are scraped either eagerly
     with :meth:`collect` or once at command end with :meth:`collect_all`
     — both are idempotent per target, so the paths compose.
+
+    The collectors switched on live in :attr:`collectors` (name →
+    collector, in :data:`COLLECTORS` order); ``observer.tracer`` and its
+    siblings read that mapping and are ``None`` for a collector left off.
+    Every collector has the same lifecycle — ``new_run()`` per attached
+    target, ``finalize()`` per collected one, ``snapshot()``/``merge()``
+    across processes (all but the serial-only oracle), ``write()`` and
+    ``fresh()`` — so the methods here are loops over the mapping.
     """
 
-    def __init__(
-        self,
-        tracer=None,
-        registry=None,
-        oracle=None,
-        timeseries=None,
-        timeseries_dt: float = 1.0,
-        profiler=None,
-        streaming=None,
-    ):
-        self.tracer = tracer
-        self.registry = registry
-        #: Optional :class:`~repro.obs.ConsistencyOracle` (``--audit-out``).
-        self.oracle = oracle
-        #: Optional :class:`~repro.obs.TimeSeriesLog` (``--timeseries-out``);
-        #: a sampler daemon is spawned per attached simulation.
-        self.timeseries = timeseries
+    #: The collector keyword arguments, in export order (the tracer
+    #: merges before the profiler, whose intervals take its span offsets).
+    #: ``oracle`` is a :class:`~repro.obs.ConsistencyOracle`
+    #: (``--audit-out``); ``timeseries`` gets a sampler daemon per attached
+    #: simulation, every ``timeseries_dt`` sim-seconds; ``streaming``
+    #: schedules nothing.
+    COLLECTORS = (
+        "tracer", "registry", "oracle", "timeseries", "profiler", "streaming",
+    )
+
+    def __init__(self, timeseries_dt: float = 1.0, **collectors):
+        unknown = sorted(set(collectors) - set(self.COLLECTORS))
+        if unknown:
+            raise TypeError(f"unknown collector(s): {', '.join(unknown)}")
+        self.collectors: Dict[str, Any] = {
+            name: collectors[name] for name in self.COLLECTORS
+            if collectors.get(name) is not None
+        }
         self.timeseries_dt = timeseries_dt
-        #: Optional :class:`~repro.obs.ResourceProfiler` (``--profile-out``).
-        self.profiler = profiler
-        #: Optional :class:`~repro.obs.StreamingTelemetry`
-        #: (``--streaming-out``); unlike the sampler it schedules nothing.
-        self.streaming = streaming
         self.targets: list = []
         self._attached: set = set()
         self._collected: set = set()
+
+    def __getattr__(self, name: str):
+        if name in RunObserver.COLLECTORS:
+            return self.collectors.get(name)
+        raise AttributeError(name)
+
+    def fresh(self) -> "RunObserver":
+        """An observer with empty collectors of the same settings.
+
+        What a ``--jobs`` worker runs its cell under: no data, runs or
+        targets carry over, only capacities and modes.
+        """
+        return RunObserver(
+            timeseries_dt=self.timeseries_dt,
+            **{name: c.fresh() for name, c in self.collectors.items()},
+        )
 
     def attach(self, target) -> None:
         """Observe ``target`` (a cluster or a server) from now on.
@@ -80,24 +98,20 @@ class RunObserver:
             return
         self._attached.add(id(target))
         self.targets.append(target)  # keeps target (and its id) alive
-        oracle = self.oracle
+        active = dict(self.collectors)
         if not (hasattr(target, "servers") or hasattr(target, "cacher")):
-            oracle = None
-        for collector in (self.tracer, oracle, self.profiler, self.streaming):
-            if collector is not None:
-                collector.new_run()
+            active.pop("oracle", None)
+        for collector in active.values():
+            collector.new_run()
         runtime.attach(
-            target, tracer=self.tracer, oracle=oracle,
-            profiler=self.profiler, streaming=self.streaming,
+            target, tracer=active.get("tracer"), oracle=active.get("oracle"),
+            profiler=active.get("profiler"), streaming=active.get("streaming"),
         )
         if self.timeseries is not None:
             self._start_sampler(target)
 
     def _start_sampler(self, target) -> None:
         """Spawn one sampling daemon in ``target``'s simulation."""
-        sim = getattr(target, "sim", None)
-        if sim is None:
-            return
         from ..obs.timeseries import (
             TimeSeriesSampler,
             cluster_series,
@@ -105,8 +119,9 @@ class RunObserver:
             oracle_series,
         )
 
-        self.timeseries.new_run()
-        sampler = TimeSeriesSampler(sim, self.timeseries, self.timeseries_dt)
+        sampler = TimeSeriesSampler(
+            target.sim, self.timeseries, self.timeseries_dt
+        )
         if hasattr(target, "servers"):
             sampler.add_source("cluster", cluster_series(target))
         elif hasattr(target, "stats"):
@@ -118,17 +133,16 @@ class RunObserver:
         sampler.start()
 
     def collect(self, target) -> None:
-        """Scrape a finished server/cluster into the registry/profiler."""
+        """Finalize the collectors on a finished server/cluster and
+        scrape it into the registry."""
         if id(target) in self._collected:
             return
         self._collected.add(id(target))
-        if self.profiler is not None:
-            # Flush integrals up to the run's final sim time; idempotent,
-            # so finalizing earlier (stopped) runs again is harmless.
-            self.profiler.finalize()
-        if self.streaming is not None:
-            # Close the window still open at end of run (idempotent too).
-            self.streaming.finalize()
+        # Flushes the profiler's integrals up to the run's final sim time
+        # and closes the streaming window still open; both idempotent, so
+        # finalizing after earlier (stopped) runs again is harmless.
+        for collector in self.collectors.values():
+            collector.finalize()
         if self.registry is None:
             return
         from ..obs import collect_network, collect_node_stats
@@ -151,6 +165,19 @@ class RunObserver:
         for target in list(self.targets):
             self.collect(target)
 
+    def finish(self) -> None:
+        """The command's one collect step, before its exports are written.
+
+        Scrapes every target, then publishes the streaming totals into
+        the registry when both are on.  Call once, in the process that
+        writes: after a ``--jobs`` merge the telemetry holds every run.
+        """
+        self.collect_all()
+        if self.registry is not None and self.streaming is not None:
+            from ..obs import collect_streaming
+
+            collect_streaming(self.registry, self.streaming)
+
     # -- snapshot / merge --------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Picklable snapshots of every mergeable collector.
@@ -161,19 +188,13 @@ class RunObserver:
         global event order and cannot be merged.
         """
         self.collect_all()
-        collectors = {
-            "tracer": self.tracer,
-            "registry": self.registry,
-            "timeseries": self.timeseries,
-            "profiler": self.profiler,
-            "streaming": self.streaming,
-        }
         return {
-            name: collector.snapshot() if collector is not None else None
-            for name, collector in collectors.items()
+            name: collector.snapshot()
+            for name, collector in self.collectors.items()
+            if name != "oracle"
         }
 
-    def merge(self, snaps: Sequence[Optional[Dict[str, Any]]]) -> None:
+    def merge(self, snaps: Sequence[Dict[str, Any]]) -> None:
         """Fold :meth:`snapshot` bundles onto this observer.
 
         The bundles start at this observer's current runs: ``--jobs``
@@ -182,22 +203,15 @@ class RunObserver:
         ids are offset past those already assigned, and profiler
         intervals get the same offsets as their spans.
         """
-        snaps = [snap for snap in snaps if snap is not None]
-
-        def parts(name):
-            return [snap[name] for snap in snaps if snap[name] is not None]
-
         offsets = None
-        if self.tracer is not None:
-            offsets = self.tracer.merge(parts("tracer"))
-        if self.registry is not None:
-            self.registry.merge(parts("registry"))
-        if self.timeseries is not None:
-            self.timeseries.merge(parts("timeseries"))
-        if self.profiler is not None:
-            self.profiler.merge(parts("profiler"), offsets)
-        if self.streaming is not None:
-            self.streaming.merge(parts("streaming"))
+        for name, collector in self.collectors.items():
+            parts = [snap[name] for snap in snaps if name in snap]
+            if name == "tracer":
+                offsets = collector.merge(parts)
+            elif name == "profiler":
+                collector.merge(parts, offsets)
+            elif name != "oracle":
+                collector.merge(parts)
 
     def critical_records(self):
         """Per-request blame decompositions (``--critical-out``).
@@ -218,83 +232,6 @@ class RunObserver:
             else None
         )
         return decompose(self.tracer, intervals)
-
-
-@dataclass(frozen=True)
-class ObserverSpec:
-    """Picklable recipe for rebuilding a :class:`RunObserver` elsewhere.
-
-    ``--jobs`` workers cannot share the parent's live collectors, so
-    the parent ships this spec across the process boundary, each worker
-    builds its own observer from it, runs, and ships a
-    :meth:`RunObserver.snapshot` back for merging.  Each field
-    holds the collector's constructor kwargs, or ``None`` when that
-    collector is off; the oracle has no field — it is serial-only.
-    """
-
-    tracer: Optional[Dict[str, Any]] = None
-    registry: bool = False
-    timeseries: Optional[Dict[str, Any]] = None
-    timeseries_dt: float = 1.0
-    profiler: Optional[Dict[str, Any]] = None
-    streaming: Optional[Dict[str, Any]] = None
-
-    @classmethod
-    def from_observer(cls, observer: "RunObserver") -> "ObserverSpec":
-        """Capture the observer's collector configuration (not its data)."""
-        tracer = timeseries = profiler = streaming = None
-        registry = observer.registry is not None
-        if observer.tracer is not None:
-            tracer = {"max_spans": observer.tracer.max_spans}
-        if observer.timeseries is not None:
-            timeseries = {"max_samples": observer.timeseries.max_samples}
-        if observer.profiler is not None:
-            profiler = {
-                "max_resources": observer.profiler.max_resources,
-                "record_intervals": observer.profiler.linker is not None,
-                "max_intervals": observer.profiler.max_intervals,
-            }
-        if observer.streaming is not None:
-            s = observer.streaming
-            streaming = {
-                "window": s.window,
-                "slo": s.slo,  # frozen dataclass, picklable
-                "compression": s.compression,
-                "keep_exact": s.keep_exact,
-                "max_windows": s.max_windows,
-                "ewma_halflife": s.rate_ewma.halflife,
-            }
-        return cls(
-            tracer=tracer,
-            registry=registry,
-            timeseries=timeseries,
-            timeseries_dt=observer.timeseries_dt,
-            profiler=profiler,
-            streaming=streaming,
-        )
-
-    def build(self) -> "RunObserver":
-        """Construct a fresh observer with empty collectors."""
-        from ..obs import (
-            MetricsRegistry,
-            ResourceProfiler,
-            StreamingTelemetry,
-            TimeSeriesLog,
-            TraceCollector,
-        )
-
-        return RunObserver(
-            tracer=TraceCollector(**self.tracer)
-                if self.tracer is not None else None,
-            registry=MetricsRegistry() if self.registry else None,
-            timeseries=TimeSeriesLog(**self.timeseries)
-                if self.timeseries is not None else None,
-            timeseries_dt=self.timeseries_dt,
-            profiler=ResourceProfiler(**self.profiler)
-                if self.profiler is not None else None,
-            streaming=StreamingTelemetry(**self.streaming)
-                if self.streaming is not None else None,
-        )
 
 
 def oracle_forces_serial(observer: Optional[object]) -> bool:

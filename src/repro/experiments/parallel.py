@@ -10,11 +10,11 @@ worker once per parameter cell, through the order-preserving
 :func:`map_parallel`.
 
 Observed sweeps (``--trace-out`` / ``--metrics-out`` / ...) fan out too:
-the parent ships a picklable
-:class:`~repro.experiments.common.ObserverSpec` to each worker, the
-worker runs its cell under a fresh local observer, and the collector
-snapshots ride back on the pool result channel to be folded in cell
-order — reproducing the serial sweep's run numbering and span ids
+the parent ships :meth:`RunObserver.fresh()
+<repro.experiments.common.RunObserver.fresh>` — the same collectors,
+empty — to each worker, the worker runs its cell under it, and the
+collector snapshots ride back on the pool result channel to be folded in
+cell order — reproducing the serial sweep's run numbering and span ids
 exactly.  Two fallbacks keep correctness ahead of speed:
 
 * **oracle-aware**: the consistency oracle (``--audit-out``) audits
@@ -86,13 +86,10 @@ def _invoke(payload):
 
 
 def _invoke_observed(payload):
-    """Worker side of an observed fan-out: run the cell under a fresh
-    observer built from the spec, return ``(result, snapshot bundle)``."""
-    worker, kwargs, spec = payload
-    from .common import observe_runs
-
-    observer = spec.build()
-    with observe_runs(observer):
+    """Worker side of an observed fan-out: run the cell under the shipped
+    empty observer, return ``(result, snapshot bundle)``."""
+    worker, kwargs, observer = payload
+    with runtime.observing(observer):
         result = worker(**kwargs)
     return result, observer.snapshot()
 
@@ -107,8 +104,8 @@ def fanout(
     With ``jobs`` > 1 the cells are distributed over a
     ``multiprocessing`` pool; ordering of the returned list is the cell
     order either way, so downstream rendering is deterministic.  When an
-    observer is active its collectors are rebuilt per worker cell and
-    the snapshots merged back in cell order (see the module docstring).
+    observer is active each worker cell runs under ``observer.fresh()``
+    and the snapshots merge back in cell order (see the module docstring).
     """
     cells = list(cells)
     n_workers = effective_jobs(jobs, len(cells))
@@ -119,12 +116,10 @@ def fanout(
         return map_parallel(
             _invoke, [(worker, cell) for cell in cells], n_workers=n_workers
         )
-    from .common import ObserverSpec
-
-    spec = ObserverSpec.from_observer(observer)
+    empty = observer.fresh()
     pairs = map_parallel(
         _invoke_observed,
-        [(worker, cell, spec) for cell in cells],
+        [(worker, cell, empty) for cell in cells],
         n_workers=n_workers,
     )
     results = []

@@ -390,12 +390,9 @@ def to_json(data: Dict[str, Any]) -> str:
 
 def write_critical(data: Dict[str, Any], path: Union[str, Path],
                    meta=None) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if meta:
         data = dict(data, meta=dict(meta))
-    write_text(path, to_json(data))
-    return path
+    return write_text(path, to_json(data))
 
 
 def load_critical(path: Union[str, Path]) -> Dict[str, Any]:

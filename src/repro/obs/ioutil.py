@@ -15,10 +15,12 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 __all__ = [
+    "export_jsonl",
     "is_gzip_path",
+    "jsonl_text",
     "logical_suffix",
     "meta_line",
     "read_text",
@@ -42,6 +44,15 @@ def logical_suffix(path: Union[str, Path]) -> str:
     if name.endswith(".gz"):
         name = name[: -len(".gz")]
     return Path(name).suffix
+
+
+def jsonl_text(records: Iterable[Mapping[str, Any]]) -> str:
+    """Deterministic JSONL: one compact, key-sorted object per line."""
+    lines = [
+        json.dumps(record, sort_keys=True, separators=(",", ":"))
+        for record in records
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def meta_line(meta: Mapping[str, Any]) -> str:
@@ -68,7 +79,7 @@ def read_text(path: Union[str, Path]) -> str:
     return data.decode("utf-8")
 
 
-def write_text(path: Union[str, Path], text: str) -> None:
+def write_text(path: Union[str, Path], text: str) -> Path:
     """Write ``text``, gzip-compressed when the path ends in ``.gz``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -76,3 +87,12 @@ def write_text(path: Union[str, Path], text: str) -> None:
         path.write_bytes(gzip.compress(text.encode("utf-8"), mtime=0))
     else:
         path.write_text(text)
+    return path
+
+
+def export_jsonl(path: Union[str, Path], text: str,
+                 meta: Optional[Mapping[str, Any]] = None) -> Path:
+    """Write a JSONL export, led by its provenance manifest when given."""
+    if meta:
+        text = meta_line(meta) + "\n" + text
+    return write_text(path, text)

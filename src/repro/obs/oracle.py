@@ -63,7 +63,7 @@ from ..metrics.ascii import sparkline
 from ..metrics.reporting import render_table
 
 from .analyze import _percentile
-from .ioutil import meta_line, read_text, write_text
+from .ioutil import export_jsonl, jsonl_text, read_text
 
 __all__ = [
     "ConsistencyOracle",
@@ -312,6 +312,13 @@ class ConsistencyOracle:
         self.run += 1
         self._reset_run_state()
         return self.run
+
+    def finalize(self) -> None:
+        """Nothing to flush: requests are classified as they finish."""
+
+    def fresh(self) -> "ConsistencyOracle":
+        """An empty oracle with the same capacity."""
+        return ConsistencyOracle(self.max_records)
 
     # -- shadow directory maintenance (instant, global) ---------------------
     def shadow_insert(self, node: str, url: str, created: float, ttl: float) -> None:
@@ -590,26 +597,13 @@ class ConsistencyOracle:
         """Deterministic JSONL: request records in begin order, then the
         broadcast-lag samples, drops, and double-cached events (each in
         occurrence order).  Same seed => byte-identical output."""
-        lines = []
-        for audit in self.audits:
-            lines.append(
-                json.dumps(audit.to_dict(), sort_keys=True, separators=(",", ":"))
-            )
-        for group in (self.lag_samples, self.drops, self.double_cached):
-            for record in group:
-                lines.append(
-                    json.dumps(record, sort_keys=True, separators=(",", ":"))
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return jsonl_text(itertools.chain(
+            (audit.to_dict() for audit in self.audits),
+            self.lag_samples, self.drops, self.double_cached,
+        ))
 
-    def write_jsonl(self, path: Union[str, Path], meta=None) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = self.to_jsonl()
-        if meta:
-            text = meta_line(meta) + "\n" + text
-        write_text(path, text)
-        return path
+    def write(self, path: Union[str, Path], meta=None) -> Path:
+        return export_jsonl(path, self.to_jsonl(), meta)
 
     def __repr__(self) -> str:
         return (
@@ -645,7 +639,7 @@ class AuditDump:
 
 
 def load_audit(path: Union[str, Path]) -> AuditDump:
-    """Load a file written by :meth:`ConsistencyOracle.write_jsonl`."""
+    """Load a file written by :meth:`ConsistencyOracle.write`."""
     requests: List[Dict[str, Any]] = []
     lags: List[Dict[str, Any]] = []
     drops: List[Dict[str, Any]] = []

@@ -465,6 +465,14 @@ class ResourceProfiler:
         self.run += 1
         return self.run
 
+    def fresh(self) -> "ResourceProfiler":
+        """An empty profiler with the same caps and interval mode."""
+        return ResourceProfiler(
+            max_resources=self.max_resources,
+            record_intervals=self.linker is not None,
+            max_intervals=self.max_intervals,
+        )
+
     # -- attachment -------------------------------------------------------
     def instrument(self, obj) -> Optional[ResourceProbe]:
         """Attach a probe to a ``Resource``/``Store``/``ProcessorSharing``.
@@ -658,11 +666,8 @@ class ResourceProfiler:
             data["meta"] = dict(meta)
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
-    def write_json(self, path: Union[str, Path], meta=None) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_text(path, self.to_json(meta))
-        return path
+    def write(self, path: Union[str, Path], meta=None) -> Path:
+        return write_text(path, self.to_json(meta))
 
     def __repr__(self) -> str:
         return (
@@ -674,7 +679,7 @@ class ResourceProfiler:
 # -- loading + reporting -----------------------------------------------------
 
 def load_profile(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a file written by :meth:`ResourceProfiler.write_json`."""
+    """Load a file written by :meth:`ResourceProfiler.write`."""
     data = json.loads(read_text(path))
     if not isinstance(data, dict) or "resources" not in data:
         raise ValueError(f"{path}: not a profiler export (no 'resources' key)")

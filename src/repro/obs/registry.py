@@ -330,6 +330,17 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
+    # -- run lifecycle: metrics carry no run stamp and scrapes land whole --
+    def new_run(self) -> None:
+        pass
+
+    def finalize(self) -> None:
+        pass
+
+    def fresh(self) -> "MetricsRegistry":
+        """An empty registry."""
+        return MetricsRegistry()
+
     # -- snapshot / merge -------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Picklable state of every metric, for merging elsewhere.

@@ -37,12 +37,13 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..metrics.ascii import sparkline
-from .ioutil import meta_line, read_text, write_text
+from .ioutil import export_jsonl, jsonl_text, read_text
 
 __all__ = [
     "HIT_OUTCOMES",
@@ -403,12 +404,12 @@ class StreamingWindow:
         "arrivals", "completions", "errors", "hits", "misses",
         "latency_sum", "latency_min", "latency_max",
         "digest",
-        "by_outcome", "exact",
+        "by_outcome",
         "queue_depth", "queue_growth", "rho", "signals", "closed",
     )
 
     def __init__(self, run: int, index: int, t0: float, t1: float,
-                 compression: float = 100.0, keep_exact: bool = False):
+                 compression: float = 100.0):
         self.run = run
         self.index = index
         self.t0 = t0
@@ -423,7 +424,6 @@ class StreamingWindow:
         self.latency_max = -math.inf
         self.digest = TDigest(compression)
         self.by_outcome: Dict[str, List[float]] = {}
-        self.exact: Optional[List[float]] = [] if keep_exact else None
         self.queue_depth = 0.0
         self.queue_growth = 0.0
         self.rho = 0.0
@@ -484,8 +484,6 @@ class StreamingWindow:
         else:
             stats[0] += 1.0
             stats[1] += latency
-        if self.exact is not None:
-            self.exact.append(latency)
 
     def merge(self, other: "StreamingWindow") -> "StreamingWindow":
         """Combine two windows (associative on counts, sums and sketches).
@@ -497,7 +495,6 @@ class StreamingWindow:
             self.run, min(self.index, other.index),
             min(self.t0, other.t0), max(self.t1, other.t1),
             compression=self.digest.compression,
-            keep_exact=self.exact is not None and other.exact is not None,
         )
         for src in (self, other):
             out.arrivals += src.arrivals
@@ -513,8 +510,6 @@ class StreamingWindow:
                 stats = out.by_outcome.setdefault(outcome, [0.0, 0.0])
                 stats[0] += count
                 stats[1] += total
-            if out.exact is not None:
-                out.exact.extend(src.exact or ())
         out.queue_depth = other.queue_depth if other.t1 >= self.t1 else self.queue_depth
         return out
 
@@ -538,7 +533,6 @@ class StreamingWindow:
             "latency_max": self.latency_max,
             "digest": self.digest.to_state(),
             "by_outcome": {k: list(v) for k, v in self.by_outcome.items()},
-            "exact": list(self.exact) if self.exact is not None else None,
             "queue_depth": self.queue_depth,
             "queue_growth": self.queue_growth,
             "rho": self.rho,
@@ -551,7 +545,6 @@ class StreamingWindow:
         window = StreamingWindow(
             state["run"], state["index"], state["t0"], state["t1"],
             compression=state["digest"]["compression"],
-            keep_exact=state["exact"] is not None,
         )
         for attr in (
             "arrivals", "completions", "errors", "hits", "misses",
@@ -561,7 +554,6 @@ class StreamingWindow:
             setattr(window, attr, state[attr])
         window.digest = TDigest.from_state(state["digest"])
         window.by_outcome = {k: list(v) for k, v in state["by_outcome"].items()}
-        window.exact = list(state["exact"]) if state["exact"] is not None else None
         window.signals = list(state["signals"])
         return window
 
@@ -630,7 +622,6 @@ class StreamingTelemetry:
         window: float = 1.0,
         slo: Optional[SLO] = None,
         compression: float = 100.0,
-        keep_exact: bool = False,
         max_windows: int = 200_000,
         ewma_halflife: Optional[float] = None,
     ):
@@ -639,7 +630,6 @@ class StreamingTelemetry:
         self.window = float(window)
         self.slo = slo or SLO()
         self.compression = float(compression)
-        self.keep_exact = keep_exact
         self.max_windows = max_windows
         self.windows: List[StreamingWindow] = []
         self.run = 0
@@ -709,12 +699,20 @@ class StreamingTelemetry:
             self._close(self._current)
             self._current = None
 
+    def fresh(self) -> "StreamingTelemetry":
+        """An empty telemetry with the same window, SLO and sketch settings."""
+        return StreamingTelemetry(
+            window=self.window, slo=self.slo, compression=self.compression,
+            max_windows=self.max_windows,
+            ewma_halflife=self.rate_ewma.halflife,
+        )
+
     # -- windowing ---------------------------------------------------------
     def _open(self, index: int) -> StreamingWindow:
         w = self.window
         return StreamingWindow(
             self.run, index, index * w, (index + 1) * w,
-            compression=self.compression, keep_exact=self.keep_exact,
+            compression=self.compression,
         )
 
     def _advance_to(self, t: float) -> None:
@@ -863,28 +861,11 @@ class StreamingTelemetry:
                 out.merge(window.digest)
         return out
 
-    def to_dicts(self, tag: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
-        records = []
-        for window in self.windows:
-            record = window.to_dict()
-            if tag:
-                record.update(tag)
-            records.append(record)
-        return records
+    def to_jsonl(self) -> str:
+        return jsonl_text(window.to_dict() for window in self.windows)
 
-    def to_jsonl(self, tag: Optional[Dict[str, Any]] = None) -> str:
-        lines = [
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in self.to_dicts(tag)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_jsonl(self, path, tag: Optional[Dict[str, Any]] = None,
-                    meta: Optional[Dict[str, Any]] = None) -> None:
-        text = self.to_jsonl(tag)
-        if meta:
-            text = meta_line(meta) + "\n" + text
-        write_text(path, text)
+    def write(self, path: Union[str, Path], meta=None) -> Path:
+        return export_jsonl(path, self.to_jsonl(), meta)
 
     def __repr__(self) -> str:
         return (

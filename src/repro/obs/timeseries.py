@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..metrics.ascii import sparkline
 
-from .ioutil import meta_line, read_text, write_text
+from .ioutil import export_jsonl, jsonl_text, read_text
 
 __all__ = [
     "TimeSeriesLog",
@@ -75,6 +75,13 @@ class TimeSeriesLog:
         """Mark the start of another simulation feeding this log."""
         self.run += 1
         return self.run
+
+    def finalize(self) -> None:
+        """Nothing to flush: the sampler records whole samples."""
+
+    def fresh(self) -> "TimeSeriesLog":
+        """An empty log with the same capacity."""
+        return TimeSeriesLog(self.max_samples)
 
     def record(self, t: float, series: Dict[str, float]) -> None:
         if len(self.samples) >= self.max_samples:
@@ -130,20 +137,10 @@ class TimeSeriesLog:
     # -- export -----------------------------------------------------------
     def to_jsonl(self) -> str:
         """Deterministic JSONL, one sample per line in record order."""
-        lines = [
-            json.dumps(sample, sort_keys=True, separators=(",", ":"))
-            for sample in self.samples
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return jsonl_text(self.samples)
 
-    def write_jsonl(self, path: Union[str, Path], meta=None) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = self.to_jsonl()
-        if meta:
-            text = meta_line(meta) + "\n" + text
-        write_text(path, text)
-        return path
+    def write(self, path: Union[str, Path], meta=None) -> Path:
+        return export_jsonl(path, self.to_jsonl(), meta)
 
     def __repr__(self) -> str:
         return f"<TimeSeriesLog samples={len(self.samples)} run={self.run}>"
@@ -219,7 +216,7 @@ class TimeSeriesSampler:
 # -- loading + rendering -----------------------------------------------------
 
 def load_timeseries(path: Union[str, Path]) -> TimeSeriesLog:
-    """Load a file written by :meth:`TimeSeriesLog.write_jsonl`."""
+    """Load a file written by :meth:`TimeSeriesLog.write`."""
     log = TimeSeriesLog()
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
@@ -229,8 +226,12 @@ def load_timeseries(path: Union[str, Path]) -> TimeSeriesLog:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}:{lineno}: not a JSON object")
         if data.get("type") == "meta":
             continue  # provenance manifest, not a sample
+        if not {"run", "t", "series"} <= data.keys():
+            raise ValueError(f"{path}:{lineno}: not a time-series sample")
         log.samples.append(data)
         log.run = max(log.run, data.get("run", 0))
     return log

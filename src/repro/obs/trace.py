@@ -34,7 +34,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .ioutil import meta_line, read_text, write_text
+from .ioutil import export_jsonl, jsonl_text, read_text
 
 __all__ = [
     "Span",
@@ -177,12 +177,20 @@ class TraceCollector:
         self._next_trace = 1
         self._next_span = 1
 
-    # -- span creation ----------------------------------------------------
-    def new_run(self, label: Optional[str] = None) -> int:
+    # -- run lifecycle ----------------------------------------------------
+    def new_run(self) -> int:
         """Mark the start of another simulation feeding this collector."""
         self.run += 1
         return self.run
 
+    def finalize(self) -> None:
+        """Nothing to flush: spans are stored whole as they open."""
+
+    def fresh(self) -> "TraceCollector":
+        """An empty collector with the same capacity."""
+        return TraceCollector(self.max_spans)
+
+    # -- span creation ----------------------------------------------------
     def start_trace(
         self,
         name: str,
@@ -313,21 +321,11 @@ class TraceCollector:
     def to_jsonl(self) -> str:
         """Deterministic JSONL: spans in (trace, span-id) order.  Identical
         seeds => byte-identical output."""
-        lines = []
-        for span in sorted(self.spans, key=lambda s: (s.trace_id, s.span_id)):
-            lines.append(
-                json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        spans = sorted(self.spans, key=lambda s: (s.trace_id, s.span_id))
+        return jsonl_text(span.to_dict() for span in spans)
 
-    def write_jsonl(self, path: Union[str, Path], meta=None) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = self.to_jsonl()
-        if meta:
-            text = meta_line(meta) + "\n" + text
-        write_text(path, text)
-        return path
+    def write(self, path: Union[str, Path], meta=None) -> Path:
+        return export_jsonl(path, self.to_jsonl(), meta)
 
     def __repr__(self) -> str:
         return (
@@ -368,7 +366,7 @@ class TraceDump:
 
 
 def load_jsonl(path: Union[str, Path], strict: bool = True) -> TraceDump:
-    """Load a trace file written by :meth:`TraceCollector.write_jsonl`.
+    """Load a trace file written by :meth:`TraceCollector.write`.
 
     ``strict=False`` tolerates a truncated file (a run killed mid-write):
     malformed or incomplete lines are skipped and counted in the returned

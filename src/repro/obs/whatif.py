@@ -302,7 +302,7 @@ def run_cell(
     tracer = profiler = None
     if observe:
         tracer = TraceCollector()
-        tracer.new_run(label="whatif-baseline")
+        tracer.new_run()
         profiler = ResourceProfiler(record_intervals=True)
         profiler.new_run()
         attach(cluster, tracer=tracer, profiler=profiler)

@@ -36,7 +36,7 @@ def _traced_figure3(path, jobs=None):
     with observe_runs(observer):
         run_figure3(**FIG3_KW, jobs=jobs)
     observer.collect_all()
-    observer.tracer.write_jsonl(path)
+    observer.tracer.write(path)
     return path.read_bytes()
 
 

@@ -131,7 +131,7 @@ class TestTruncatedTraces:
         root = col.start_trace("request", node="n0", start=0.0)
         col.start_span("queue", parent=root, category="queue", start=0.0).close(0.1)
         root.close(1.0, outcome="exec")
-        path = col.write_jsonl(tmp_path / "trace.jsonl")
+        path = col.write(tmp_path / "trace.jsonl")
         with path.open("a") as fh:
             fh.write('{"type": "span", "torn": tru')  # torn mid-token
         return path

@@ -62,8 +62,8 @@ class TestLoadersTransparent:
         span.close(1.5, outcome="exec")
         plain = tmp_path / "t.jsonl"
         gz = tmp_path / "t.jsonl.gz"
-        collector.write_jsonl(plain)
-        collector.write_jsonl(gz)
+        collector.write(plain)
+        collector.write(gz)
         assert gz.read_bytes()[:2] == b"\x1f\x8b"
         a, b = load_jsonl(plain), load_jsonl(gz)
         assert len(a.spans) == len(b.spans) == 1

@@ -50,11 +50,11 @@ def _write_exports(observer: RunObserver, outdir):
         "profile": outdir / "profile.json",
         "streaming": outdir / "streaming.jsonl",
     }
-    observer.tracer.write_jsonl(paths["trace"])
+    observer.tracer.write(paths["trace"])
     observer.registry.write(paths["metrics"])
-    observer.timeseries.write_jsonl(paths["timeseries"])
-    observer.profiler.write_json(paths["profile"])
-    observer.streaming.write_jsonl(paths["streaming"])
+    observer.timeseries.write(paths["timeseries"])
+    observer.profiler.write(paths["profile"])
+    observer.streaming.write(paths["streaming"])
     return paths
 
 

@@ -281,7 +281,7 @@ class TestExport:
 
     def test_roundtrip(self, oracle, tmp_path):
         self.fill(oracle)
-        path = oracle.write_jsonl(tmp_path / "audit.jsonl")
+        path = oracle.write(tmp_path / "audit.jsonl")
         dump = load_audit(path)
         assert len(dump) == 2
         assert len(dump.lags) == 1
@@ -336,7 +336,7 @@ class TestRenderers:
     @pytest.fixture
     def dump(self, oracle, tmp_path):
         TestExport().fill(oracle)
-        return load_audit(oracle.write_jsonl(tmp_path / "a.jsonl"))
+        return load_audit(oracle.write(tmp_path / "a.jsonl"))
 
     def test_taxonomy(self, dump):
         text = render_taxonomy(dump)

@@ -324,8 +324,8 @@ def test_cluster_profile_same_seed_byte_identical(tmp_path):
     profiler_a, profiler_b = ResourceProfiler(), ResourceProfiler()
     run_profiled_cluster(profiler_a)
     run_profiled_cluster(profiler_b)
-    a = profiler_a.write_json(tmp_path / "a.json").read_text()
-    b = profiler_b.write_json(tmp_path / "b.json").read_text()
+    a = profiler_a.write(tmp_path / "a.json").read_text()
+    b = profiler_b.write(tmp_path / "b.json").read_text()
     assert a == b
     json.loads(a)  # strict JSON (no bare NaN/Infinity tokens)
 
@@ -333,7 +333,7 @@ def test_cluster_profile_same_seed_byte_identical(tmp_path):
 def test_cluster_profile_contents_and_report(tmp_path):
     profiler = ResourceProfiler()
     run_profiled_cluster(profiler)
-    path = profiler.write_json(tmp_path / "profile.json")
+    path = profiler.write(tmp_path / "profile.json")
     profile = load_profile(path)
 
     names = {e["name"] for e in profile["resources"]}

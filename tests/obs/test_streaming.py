@@ -222,19 +222,18 @@ class TestExportAndDashboard:
     def test_jsonl_round_trip(self, tmp_path):
         tel = self.sample_telemetry()
         path = tmp_path / "windows.jsonl"
-        tel.write_jsonl(path, tag={"cell": 2})
+        assert tel.write(path) == path
         records = load_streaming(path)
         assert len(records) == len(tel.windows)
         assert all(r["type"] == "window" for r in records)
-        assert all(r["cell"] == 2 for r in records)
         assert records[0]["completions"] == tel.windows[0].completions
 
     def test_gzip_round_trip_is_transparent(self, tmp_path):
         tel = self.sample_telemetry()
         plain = tmp_path / "w.jsonl"
         gz = tmp_path / "w.jsonl.gz"
-        tel.write_jsonl(plain)
-        tel.write_jsonl(gz)
+        tel.write(plain)
+        tel.write(gz)
         assert gz.read_bytes()[:2] == b"\x1f\x8b"
         assert gzip.decompress(gz.read_bytes()) == plain.read_bytes()
         assert load_streaming(gz) == load_streaming(plain)

@@ -61,7 +61,7 @@ class TestTimeSeriesLog:
         log = TimeSeriesLog()
         log.new_run()
         log.record(0.5, {"x": 1.0})
-        path = log.write_jsonl(tmp_path / "ts.jsonl")
+        path = log.write(tmp_path / "ts.jsonl")
         loaded = load_timeseries(path)
         assert loaded.samples == log.samples
         assert loaded.run == 1

@@ -115,7 +115,7 @@ class TestJsonl:
         col.start_span("accept", parent=root, category="cpu", start=0.1).close(0.2)
         root.close(1.0, outcome="exec")
         path = tmp_path / "deep" / "dir" / "trace.jsonl"
-        col.write_jsonl(path)  # creates parents
+        col.write(path)  # creates parents
         dump = load_jsonl(path)
         assert len(dump) == 2
         assert dump.events == []

@@ -295,6 +295,88 @@ class TestRunConfig:
         assert rc == 2
 
 
+MALFORMED_INPUTS = {
+    # a file that does not parse where a trace/config is loaded strictly
+    "describe-trace": ["describe-trace", "{bad}"],
+    "run-config-config": ["run-config", "{bad_json}", "--trace", "{ok}"],
+    "run-config-trace": ["run-config", "{ini}", "--trace", "{bad}"],
+    "audit-timeseries": ["audit", "{audit}", "--timeseries", "{bad}"],
+    "audit-timeseries-kind": ["audit", "{audit}", "--timeseries", "{ok}"],
+    # lenient span loads: torn lines are skipped, and then no span is left
+    "trace": ["trace", "{bad}"],
+    "critical": ["critical", "--trace", "{bad}"],
+    "whatif": ["whatif", "--scenarios", "cpu:2", "--trace", "{bad}"],
+    "profile": ["profile", "{profile}", "--trace", "{bad}"],
+}
+
+
+class TestMalformedInputs:
+    """Malformed input files are usage errors (exit 2, ``error:`` on
+    stderr), never tracebacks."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        import json
+
+        from repro.workload import save_trace, zipf_cgi_trace
+
+        paths = {name: tmp_path / name for name in (
+            "bad.jsonl", "bad.json", "ok.jsonl", "swala.ini", "a.jsonl",
+            "p.json",
+        )}
+        paths["bad.jsonl"].write_text("not json\n")
+        paths["bad.json"].write_text("{not json\n")
+        save_trace(zipf_cgi_trace(10, 3, seed=1), paths["ok.jsonl"])
+        paths["swala.ini"].write_text("[cache]\nmode = cooperative\n")
+        paths["a.jsonl"].write_text(json.dumps({
+            "type": "request", "run": 1, "node": "n0", "url": "/cgi/x",
+            "kind": "cgi", "started": 0.0, "finished": 1.0,
+            "classification": "cold-miss",
+        }) + "\n")
+        paths["p.json"].write_text(json.dumps({
+            "version": 1, "runs": 0, "dropped": 0, "resources": [],
+            "locks": [],
+        }))
+        return {
+            "bad": paths["bad.jsonl"], "bad_json": paths["bad.json"],
+            "ok": paths["ok.jsonl"], "ini": paths["swala.ini"],
+            "audit": paths["a.jsonl"], "profile": paths["p.json"],
+        }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_is_usage_error(self, capsys, files, case):
+        argv = [arg.format(**files) for arg in MALFORMED_INPUTS[case]]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
+def test_metrics_written_once_with_streaming(capsys, tmp_path, monkeypatch):
+    """``--streaming-out`` publishes its totals into the registry before
+    the one write of ``--metrics-out``."""
+    from repro.obs import MetricsRegistry
+
+    writes = []
+    real_write = MetricsRegistry.write
+
+    def counting_write(self, path, meta=None):
+        writes.append(path)
+        return real_write(self, path, meta=meta)
+
+    monkeypatch.setattr(MetricsRegistry, "write", counting_write)
+    metrics = tmp_path / "m.prom"
+    rc = main([
+        "table3", "--nodes", "2", "--requests", "10",
+        "--metrics-out", str(metrics),
+        "--streaming-out", str(tmp_path / "s.jsonl"),
+    ])
+    assert rc == 0
+    assert len(writes) == 1
+    assert "swala_streaming_windows_total" in metrics.read_text()
+
+
 class TestTracing:
     @pytest.fixture
     def span_file(self, capsys, tmp_path):

@@ -68,6 +68,18 @@ class TestCriticalOut:
         assert plain == observed
 
 
+def _unfinished_trace(tmp_path) -> str:
+    """A trace file whose one request never finished: spans, but zero
+    complete requests to decompose."""
+    path = tmp_path / "unfinished.jsonl"
+    path.write_text(json.dumps({
+        "type": "span", "trace": 1, "span": 1, "parent": None,
+        "name": "request", "node": "n0", "category": "other",
+        "start": 0.0, "end": None, "tick": 0, "attrs": {},
+    }) + "\n")
+    return str(path)
+
+
 class TestCriticalCommand:
     def test_default_report(self, capsys, critical_files):
         rc = main(["critical", str(critical_files["critical"])])
@@ -111,11 +123,11 @@ class TestCriticalCommand:
         assert main(["critical", str(bad)]) == 2
         assert main(["critical"]) == 2  # neither file nor --trace
 
-    def test_empty_trace_regression(self, capsys, tmp_path):
-        """Zero-request runs must render, not divide by zero."""
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        rc = main(["critical", "--trace", str(empty)])
+    def test_zero_request_trace_regression(self, capsys, tmp_path):
+        """Zero-request runs must render, not divide by zero.  (A trace
+        file with no spans at all is a usage error; one whose only
+        request never finished decomposes into zero requests.)"""
+        rc = main(["critical", "--trace", _unfinished_trace(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "(no complete request traces)" in out
@@ -140,10 +152,11 @@ class TestWhatifCommand:
     def test_bad_scenario_is_usage_error(self, capsys):
         assert main(["whatif", "--scenarios", "warp:9", "--validate"]) == 2
 
-    def test_empty_trace_degenerate(self, capsys, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        rc = main(["whatif", "--scenarios", "cpu:2", "--trace", str(empty)])
+    def test_zero_request_trace_degenerate(self, capsys, tmp_path):
+        rc = main([
+            "whatif", "--scenarios", "cpu:2",
+            "--trace", _unfinished_trace(tmp_path),
+        ])
         assert rc == 0
         assert "nan" not in capsys.readouterr().out.lower()
 
