@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, List, Optional
@@ -54,10 +53,9 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _export(rows, args) -> None:
     """Write structured rows if the command asked for --export."""
-    export = getattr(args, "export", None)
-    if export and rows is not None:
-        write_rows(list(rows), export)
-        print(f"(structured rows exported to {export})")
+    if args.export:
+        write_rows(list(rows), args.export)
+        print(f"(structured rows exported to {args.export})")
 
 
 class _UsageError(Exception):
@@ -347,19 +345,14 @@ def _cmd_table4(args) -> int:
     return 0
 
 
-def _cmd_table5(args) -> int:
-    rows = ex.run_table5(
-        node_counts=tuple(args.nodes), seed=args.seed, jobs=args.jobs
+def _cmd_hit_ratio(args) -> int:
+    """Tables 5 and 6: the same sweep at cache size 2,000 and 20."""
+    size = {"table5": 2_000, "table6": 20}[args.command]
+    rows = ex.run_hit_ratio_experiment(
+        cache_size=size, node_counts=tuple(args.nodes), seed=args.seed,
+        jobs=args.jobs,
     )
-    _emit(ex.render_hit_ratio_table(rows, 2_000), args.output)
-    return 0
-
-
-def _cmd_table6(args) -> int:
-    rows = ex.run_table6(
-        node_counts=tuple(args.nodes), seed=args.seed, jobs=args.jobs
-    )
-    _emit(ex.render_hit_ratio_table(rows, 20), args.output)
+    _emit(ex.render_hit_ratio_table(rows, size), args.output)
     return 0
 
 
@@ -750,6 +743,7 @@ def _cmd_whatif(args) -> int:
         render_predictions,
         render_whatif_report,
         validate_scenarios,
+        worst_row,
     )
 
     try:
@@ -765,8 +759,7 @@ def _cmd_whatif(args) -> int:
             cpu_time=args.cpu_time,
         )
         _emit(render_whatif_report(rows, max_error=args.max_error), args.output)
-        worst = max(rows, key=lambda r: r.error)
-        return 1 if worst.error > args.max_error else 0
+        return 0 if worst_row(rows).error <= args.max_error else 1
 
     if not args.trace:
         raise _UsageError(
@@ -798,85 +791,25 @@ def _cmd_describe_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    # Imported lazily: the bench module pulls in the whole stack and the
-    # other subcommands should not pay for that at startup.
-    from . import bench as _bench
-
-    names = args.only or None
-    if names:
-        unknown = [n for n in names if n not in _bench.BENCH_WORKLOADS]
-        if unknown:
-            raise _UsageError(
-                "unknown benchmark(s): " + ", ".join(unknown)
-                + "; choose from " + ", ".join(_bench.BENCH_WORKLOADS)
-            )
-    results = _bench.run_bench(rounds=args.rounds, names=names)
-    print(_bench.render_bench(results))
-    out = Path(args.output) if args.output else Path(
-        f"BENCH_{time.strftime('%Y-%m-%d')}.json"
-    )
-    report = _bench.write_bench_report(results, out)
-    print(f"\n(report written to {out}; peak RSS {report['peak_rss_kb']} kB)")
-    if args.compare:
-        if args.compare == "auto":
-            # Bare --compare: newest committed snapshot by date-stamped
-            # name (the same rule CI uses), never the report just written.
-            candidates = sorted(
-                c for c in Path(".").glob("BENCH_2*.json")
-                if c.resolve() != out.resolve()
-            )
-            if not candidates:
-                raise _UsageError(
-                    "--compare found no committed BENCH_2*.json in the "
-                    "current directory"
-                )
-            snap_path = candidates[-1]
-        else:
-            snap_path = Path(args.compare)
-        import json as _json
-
-        snapshot = _load(
-            snap_path, lambda p: _json.loads(p.read_text()), "snapshot"
-        )
-        text, regressed = _bench.compare_with_snapshot(
-            results, snapshot, threshold=args.compare_threshold
-        )
-        print(f"\ncomparison against {snap_path}:\n{text}")
-        if regressed:
-            msg = (
-                f"bench gate: {len(regressed)} workload(s) regressed more "
-                f"than {args.compare_threshold:.0%} vs {snap_path}: "
-                + ", ".join(regressed)
-            )
-            if args.compare_warn_only:
-                print(f"warning: {msg}", file=sys.stderr)
-            else:
-                print(f"error: {msg}", file=sys.stderr)
-                return 1
-    return 0
+#: The paper's artifacts, in the order ``repro all`` regenerates them.
+_PAPER_ARTIFACTS = (
+    "table1", "table2", "figure3", "figure4", "table3", "table4", "table5",
+    "table6",
+)
 
 
 def _cmd_all(args) -> int:
+    """Run each paper subcommand at its own defaults into
+    ``<output-dir>/<name>.txt``."""
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_jobs = args.jobs
-    jobs = [
-        ("table1", lambda: ex.render_table1(ex.run_table1())),
-        ("table2", lambda: ex.render_table2(ex.run_table2(jobs=n_jobs))),
-        ("figure3", lambda: ex.render_figure3(ex.run_figure3(jobs=n_jobs))),
-        ("figure4", lambda: ex.render_figure4(ex.run_figure4(jobs=n_jobs))),
-        ("table3", lambda: ex.render_table3(ex.run_table3())),
-        ("table4", lambda: ex.render_table4(ex.run_table4())),
-        ("table5", lambda: ex.render_hit_ratio_table(
-            ex.run_table5(jobs=n_jobs), 2_000)),
-        ("table6", lambda: ex.render_hit_ratio_table(
-            ex.run_table6(jobs=n_jobs), 20)),
-    ]
-    for name, job in jobs:
-        text = job()
-        (outdir / f"{name}.txt").write_text(text + "\n")
-        print(text)
+    parser = build_parser()
+    for name in _PAPER_ARTIFACTS:
+        output = str(outdir / f"{name}.txt")
+        sub = parser.parse_args([name, "--output", output])
+        if "jobs" in vars(sub):
+            sub.jobs = args.jobs
+        sub.func(sub)
         print()
     print(f"all artifacts written to {outdir}/")
     return 0
@@ -920,46 +853,58 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
         return n
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def above_one(value):
+        x = float(value)
+        if not x > 1:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be > 1, got {value}")
+        return x
+
+    def common(p, seed=False, export=False, jobs=False, observe=False):
+        """``--output`` plus the shared flags the command's runner reads."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="also write the table to this file")
-        p.add_argument("--export", help="write structured rows (.csv/.json)")
-        p.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="fan independent runs over N worker processes (sweep "
-            "commands; results and observability exports are identical "
-            "to a serial run; only --audit-out falls back to serial)",
-        )
-        observability(p)
+        if export:
+            p.add_argument("--export",
+                           help="write structured rows (.csv/.json)")
+        if jobs:
+            p.add_argument(
+                "--jobs", type=positive_int, default=1, metavar="N",
+                help="fan independent runs over N worker processes (results "
+                "and observability exports are identical to a serial run; "
+                "only --audit-out falls back to serial)",
+            )
+        if observe:
+            observability(p)
 
     p = sub.add_parser("table1", help="ADL log caching-potential analysis")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--scale", type=positive_float, default=1.0,
                    help="shrink the synthetic log by this factor")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="WebStone file-fetch server comparison")
-    common(p)
+    common(p, seed=True, export=True, jobs=True, observe=True)
     p.add_argument("--clients", type=positive_int, nargs="+",
                    default=[4, 8, 16, 32, 64])
     p.add_argument("--requests-per-client", type=positive_int, default=25)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("figure3", help="null-CGI response-time comparison")
-    common(p)
+    common(p, jobs=True, observe=True)
     p.add_argument("--clients", type=positive_int, default=24)
     p.add_argument("--requests-per-client", type=positive_int, default=20)
     p.set_defaults(func=_cmd_figure3)
 
     p = sub.add_parser("figure4", help="multi-node scaling, cache vs no-cache")
-    common(p)
+    common(p, seed=True, export=True, jobs=True, observe=True)
     p.add_argument("--nodes", type=positive_int, nargs="+",
                    default=[1, 2, 4, 6, 8])
     p.add_argument("--scale", type=positive_float, default=0.02)
     p.set_defaults(func=_cmd_figure4)
 
     p = sub.add_parser("table3", help="insert+broadcast overhead")
-    common(p)
+    common(p, export=True, observe=True)
     p.add_argument("--nodes", type=positive_int, nargs="+",
                    default=[2, 3, 4, 5, 6, 7, 8])
     p.add_argument("--requests", type=positive_int, default=180)
@@ -976,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory-protocol cost grid: broadcast vs digest vs Bloom "
         "deltas across cluster sizes",
     )
-    common(p)
+    common(p, seed=True, export=True, observe=True)
     p.add_argument(
         "--nodes", type=positive_int, nargs="+", default=[8, 64, 256, 1024],
         help="cluster sizes to sweep (default 8 64 256 1024)",
@@ -990,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["webstone", "adl"],
     )
     p.add_argument(
-        "--threads", type=int, default=64,
+        "--threads", type=positive_int, default=64,
         help="client threads == max active nodes (default 64)",
     )
     p.add_argument(
@@ -1001,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_directory_grid)
 
     p = sub.add_parser("table4", help="directory-update overhead")
-    common(p)
+    common(p, export=True, observe=True)
     p.add_argument("--rates", type=float, nargs="+",
                    default=[0.0, 10.0, 20.0, 50.0, 100.0])
     p.add_argument("--requests", type=positive_int, default=180)
@@ -1009,13 +954,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for which, size in (("table5", 2_000), ("table6", 20)):
         p = sub.add_parser(which, help=f"hit ratios, cache size {size}")
-        common(p)
+        common(p, seed=True, jobs=True, observe=True)
         p.add_argument("--nodes", type=positive_int, nargs="+",
                        default=[1, 2, 4, 6, 8])
-        p.set_defaults(func=_cmd_table5 if which == "table5" else _cmd_table6)
+        p.set_defaults(func=_cmd_hit_ratio)
 
     p = sub.add_parser("ablation", help="run one of the ablation studies")
-    common(p)
+    common(p, observe=True)
     p.add_argument(
         "which",
         choices=["policies", "locking", "ttl", "invalidation", "balancer",
@@ -1024,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablation)
 
     p = sub.add_parser("study", help="run one of the topology/capacity studies")
-    common(p)
+    common(p, observe=True)
     p.add_argument("which", choices=["proxy", "capacity", "heterogeneity"])
     p.set_defaults(func=_cmd_study)
 
@@ -1055,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ramp origin, req/s (default 4.0)")
     p.add_argument("--max-rate", type=float, default=4096.0, metavar="R",
                    help="give up ramping above this rate (default 4096)")
-    p.add_argument("--growth", type=float, default=2.0,
+    p.add_argument("--growth", type=above_one, default=2.0,
                    help="ramp multiplier per hold period (default 2.0)")
     p.add_argument(
         "--precision", type=float, default=0.05,
@@ -1072,16 +1017,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="flag a window when backlog grows by more than this fraction "
         "of its expected arrivals (default 0.25)",
     )
-    p.add_argument("--consecutive", type=int, default=3, metavar="K",
+    p.add_argument("--consecutive", type=positive_int, default=3, metavar="K",
                    help="flagged windows in a row that declare saturation")
     p.add_argument("--warmup-windows", type=int, default=2,
                    help="initial windows exempt from flagging (cold cache)")
-    p.add_argument("--distinct", type=int, default=200,
+    p.add_argument("--distinct", type=positive_int, default=200,
                    help="distinct CGI URLs in the Zipf workload")
     p.add_argument("--cpu-time", type=float, default=0.2, metavar="SECONDS",
                    help="mean CGI service demand (default 0.2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="also write the table to this file")
+    common(p, seed=True)
     p.add_argument(
         "--json-out",
         help="write the knee report (deterministic JSON; diff with "
@@ -1111,9 +1055,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-trace", help="synthesize a workload trace file")
     p.add_argument("kind", choices=["adl", "webstone", "zipf", "hit-ratio"])
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("-n", type=int, default=1_000, help="request count")
-    p.add_argument("-d", "--distinct", type=int, default=200)
-    p.add_argument("--scale", type=float, default=0.05, help="(adl only)")
+    p.add_argument("-n", type=positive_int, default=1_000,
+                   help="request count")
+    p.add_argument("-d", "--distinct", type=positive_int, default=200)
+    p.add_argument("--scale", type=positive_float, default=0.05,
+                   help="(adl only)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_trace)
 
@@ -1124,8 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("configfile")
     p.add_argument("--trace", required=True, help="trace file (.jsonl)")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--clients", type=int, default=16)
+    p.add_argument("--nodes", type=positive_int, default=4)
+    p.add_argument("--clients", type=positive_int, default=16)
     p.add_argument("--output", help="also write the report to this file")
     observability(p)
     p.set_defaults(func=_cmd_run_config)
@@ -1144,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ASCII span timeline of one request")
     p.add_argument("--trace-id", type=int, default=None,
                    help="which trace for --timeline (default: first complete)")
-    p.add_argument("--width", type=int, default=48,
+    p.add_argument("--width", type=positive_int, default=48,
                    help="timeline bar width in characters")
     p.add_argument("--output", help="also write the report to this file")
     p.set_defaults(func=_cmd_trace)
@@ -1161,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only the broadcast staleness-window distribution")
     p.add_argument("--timeline", action="store_true",
                    help="only the per-node anomaly sparklines")
-    p.add_argument("--bins", type=int, default=60,
+    p.add_argument("--bins", type=positive_int, default=60,
                    help="timeline resolution in bins (default 60)")
     p.add_argument("--timeseries", metavar="FILE",
                    help="also render the sparkline dashboard from a "
@@ -1182,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which run to report (default: last)")
     p.add_argument("--node", metavar="NAME",
                    help="restrict the resource table to one node")
-    p.add_argument("--top", type=int, default=None, metavar="N",
+    p.add_argument("--top", type=positive_int, default=None, metavar="N",
                    help="show only the N most saturated resources")
     p.add_argument("--bottlenecks", action="store_true",
                    help="only the per-node bottleneck table")
@@ -1193,7 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folded-out", metavar="FILE",
                    help="write folded stacks (flamegraph.pl/speedscope "
                    "format); requires --trace")
-    p.add_argument("--width", type=int, default=60,
+    p.add_argument("--width", type=positive_int, default=60,
                    help="flame-chart bar width in characters")
     p.add_argument("--output", help="also write the report to this file")
     p.set_defaults(func=_cmd_profile)
@@ -1243,7 +1189,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only the blame-segment table")
     p.add_argument("--by-outcome", action="store_true",
                    help="only the per-outcome blame table")
-    p.add_argument("--width", type=int, default=60,
+    p.add_argument("--width", type=positive_int, default=60,
                    help="blame flame-chart bar width in characters")
     p.add_argument("--output", help="also write the report to this file")
     p.set_defaults(func=_cmd_critical)
@@ -1266,9 +1212,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record a baseline cell, predict each scenario, "
                    "then actually re-run with scaled rates and report the "
                    "prediction error")
-    p.add_argument("--nodes", type=int, default=2,
+    p.add_argument("--nodes", type=positive_int, default=2,
                    help="cluster size for --validate cells (default 2)")
-    p.add_argument("--requests", type=int, default=40,
+    p.add_argument("--requests", type=positive_int, default=40,
                    help="requests per --validate cell (default 40)")
     p.add_argument("--cpu-time", type=float, default=1.0,
                    help="per-request CGI CPU seconds in --validate cells")
@@ -1284,43 +1230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="also write the summary to this file")
     p.set_defaults(func=_cmd_describe_trace)
 
-    p = sub.add_parser(
-        "bench",
-        help="time the engine microbenchmarks and write a BENCH_<date>.json",
-    )
-    p.add_argument(
-        "--rounds", type=int, default=5,
-        help="measured rounds per workload after one warmup (default 5)",
-    )
-    p.add_argument(
-        "--only", nargs="*", metavar="NAME",
-        help="subset of workloads to run (default: all)",
-    )
-    p.add_argument(
-        "--output", default=None,
-        help="report path (default BENCH_<date>.json in the current dir)",
-    )
-    p.add_argument(
-        "--compare", metavar="SNAPSHOT", nargs="?", const="auto",
-        help="compare events/sec against a committed BENCH_*.json and "
-        "exit 1 on regression beyond --compare-threshold; with no "
-        "SNAPSHOT, the newest committed BENCH_2*.json is used",
-    )
-    p.add_argument(
-        "--compare-threshold", type=float, default=0.25, metavar="FRAC",
-        help="allowed fractional events/sec regression before the gate "
-        "trips (default 0.25)",
-    )
-    p.add_argument(
-        "--compare-warn-only", action="store_true",
-        help="report regressions but always exit 0 (for noisy machines)",
-    )
-    p.set_defaults(func=_cmd_bench)
-
     p = sub.add_parser("all", help="regenerate every table and figure")
     p.add_argument("--output-dir", default="results")
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for the sweep-style tables/figures",
     )
     p.set_defaults(func=_cmd_all)

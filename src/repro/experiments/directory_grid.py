@@ -161,7 +161,7 @@ def run_directory_grid(
     n_threads: int = 64,
     n_hosts: int = 8,
     scale: float = 1.0,
-    seed: int = 3,
+    seed: int = 0,
     costs: Optional[MachineCosts] = None,
 ) -> List[GridCell]:
     """Run the full ``mix x protocol x nodes`` grid.

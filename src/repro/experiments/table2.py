@@ -63,7 +63,7 @@ def _table2_cell(
 
 def run_table2(
     client_counts: Sequence[int] = DEFAULT_CLIENT_COUNTS,
-    requests_per_client: int = 30,
+    requests_per_client: int = 25,
     seed: int = 0,
     costs: Optional[MachineCosts] = None,
     jobs: Optional[int] = None,

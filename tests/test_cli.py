@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+import inspect
+
 import pytest
 
+from repro import experiments as ex
 from repro.cli import build_parser, main
 
 CLF_SAMPLE = """\
@@ -69,12 +73,176 @@ class TestParser:
          "--scale", "0.02"],
         ["directory-grid", "--scale", "0"],
         ["capacity", "--nodes", "0", "--duration", "1", "--max-probes", "1"],
+        ["directory-grid", "--threads", "0"],
+        ["run-config", "c.ini", "--trace", "t.jsonl", "--nodes", "0"],
+        ["run-config", "c.ini", "--trace", "t.jsonl", "--clients", "0"],
+        ["whatif", "--scenarios", "cpu:2", "--validate", "--nodes", "0"],
+        ["whatif", "--scenarios", "cpu:2", "--validate", "--requests", "0"],
+        ["gen-trace", "zipf", "-o", "t.jsonl", "-d", "0"],
+        ["gen-trace", "zipf", "-o", "t.jsonl", "-n", "0"],
+        ["capacity", "--distinct", "0"],
+        ["capacity", "--consecutive", "0"],
+        ["capacity", "--growth", "1"],
+        ["audit", "a.jsonl", "--bins", "0"],
+        ["figure4", "--jobs", "0"],
+        ["figure4", "--jobs", "-1"],
+        ["all", "--jobs", "0"],
+        ["gen-trace", "adl", "-o", "t.jsonl", "--scale", "0"],
+        ["trace", "s.jsonl", "--width", "0"],
+        ["profile", "p.json", "--top", "0"],
+        ["profile", "p.json", "--width", "0"],
+        ["critical", "c.json", "--width", "0"],
     ])
     def test_non_positive_size_is_usage_error(self, capsys, cmd):
         with pytest.raises(SystemExit) as exc:
             main(cmd)
         assert exc.value.code == 2
         assert "must be >" in capsys.readouterr().err
+
+
+#: The observability flags: the seven exports and their two knobs.
+OBSERVE = {
+    "--trace-out", "--metrics-out", "--audit-out", "--timeseries-out",
+    "--profile-out", "--streaming-out", "--critical-out", "--timeseries-dt",
+    "--streaming-window",
+}
+
+#: Every subcommand's options: only the flags its runner reads.
+OPTIONS = {
+    "table1": {"--output", "--scale", "--seed"},
+    "table2": OBSERVE | {"--clients", "--export", "--jobs", "--output",
+                         "--requests-per-client", "--seed"},
+    "figure3": OBSERVE | {"--clients", "--jobs", "--output",
+                          "--requests-per-client"},
+    "figure4": OBSERVE | {"--export", "--jobs", "--nodes", "--output",
+                          "--scale", "--seed"},
+    "table3": OBSERVE | {"--directory", "--export", "--nodes", "--output",
+                         "--requests"},
+    "directory-grid": OBSERVE | {"--export", "--json-out", "--mixes",
+                                 "--nodes", "--output", "--protocols",
+                                 "--scale", "--seed", "--threads"},
+    "table4": OBSERVE | {"--export", "--output", "--rates", "--requests"},
+    "table5": OBSERVE | {"--jobs", "--nodes", "--output", "--seed"},
+    "table6": OBSERVE | {"--jobs", "--nodes", "--output", "--seed"},
+    "ablation": OBSERVE | {"--output"},
+    "study": OBSERVE | {"--output"},
+    "capacity": {"--consecutive", "--cpu-time", "--dashboard", "--distinct",
+                 "--duration", "--growth", "--json-out", "--max-probes",
+                 "--max-rate", "--max-rho", "--mode", "--nodes", "--output",
+                 "--precision", "--queue-growth-frac", "--seed", "--slo-p99",
+                 "--start-rate", "--txt-out", "--warmup-windows", "--window",
+                 "--windows-out"},
+    "analyze-log": {"--default-cgi-time", "--output", "--thresholds"},
+    "gen-trace": {"--distinct", "--out", "--scale", "--seed", "-d", "-n",
+                  "-o"},
+    "run-config": OBSERVE | {"--clients", "--nodes", "--output", "--trace"},
+    "trace": {"--breakdown", "--output", "--percentiles", "--timeline",
+              "--trace-id", "--width"},
+    "audit": {"--bins", "--output", "--series", "--staleness", "--taxonomy",
+              "--timeline", "--timeseries"},
+    "profile": {"--bottlenecks", "--folded-out", "--node", "--output",
+                "--resources", "--run", "--top", "--trace", "--width"},
+    "diff": {"--abs-threshold", "--ignore", "--max-rows", "--only",
+             "--output", "--threshold"},
+    "critical": {"--by-outcome", "--export", "--output", "--profile",
+                 "--segments", "--trace", "--width"},
+    "whatif": {"--cpu-time", "--max-error", "--nodes", "--output",
+               "--profile", "--requests", "--scenarios", "--trace",
+               "--validate"},
+    "describe-trace": {"--output", "--top"},
+    "all": {"--jobs", "--output-dir"},
+}
+
+#: Flags these commands once accepted and never read, with the
+#: positionals each command needs.
+REMOVED = [
+    (["table1"], ["--export", "--jobs"] + sorted(OBSERVE)),
+    (["figure3"], ["--seed", "--export"]),
+    (["table3"], ["--seed", "--jobs"]),
+    (["table4"], ["--seed", "--jobs"]),
+    (["directory-grid"], ["--jobs"]),
+    (["table5"], ["--export"]),
+    (["table6"], ["--export"]),
+    (["ablation", "ttl"], ["--seed", "--export", "--jobs"]),
+    (["study", "proxy"], ["--seed", "--export", "--jobs"]),
+    (["analyze-log", "x.log"], ["--seed", "--export", "--jobs"]
+     + sorted(OBSERVE)),
+]
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionSets:
+    def test_each_command_declares_exactly_its_options(self):
+        commands = _subparsers()
+        assert set(commands) == set(OPTIONS)
+        for name, sub in commands.items():
+            options = {o for a in sub._actions for o in a.option_strings}
+            assert options - {"-h", "--help"} == OPTIONS[name], name
+
+    @pytest.mark.parametrize("argv", [
+        argv + [flag, "1"] for argv, flags in REMOVED for flag in flags
+    ], ids=lambda argv: " ".join(argv[:-1]))
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, runner, param", [
+        (["table2"], ex.run_table2, "requests_per_client"),
+        (["directory-grid"], ex.run_directory_grid, "seed"),
+    ], ids=["table2", "directory-grid"])
+    def test_parser_default_is_the_library_default(self, argv, runner, param):
+        parsed = vars(build_parser().parse_args(argv))[param]
+        default = inspect.signature(runner).parameters[param].default
+        assert parsed == default
+
+
+def test_all_runs_each_paper_command_at_its_defaults(capsys, monkeypatch,
+                                                    tmp_path):
+    """``repro all`` is the eight paper subcommands, each parsed at its
+    own defaults with ``--output <dir>/<name>.txt``; only the sweeps
+    take ``--jobs``."""
+    import repro.cli as cli
+
+    seen = []
+    for name in ("_cmd_table1", "_cmd_table2", "_cmd_figure3",
+                 "_cmd_figure4", "_cmd_table3", "_cmd_table4",
+                 "_cmd_hit_ratio"):
+        monkeypatch.setattr(cli, name, seen.append)
+    assert main(["all", "--jobs", "3", "--output-dir", str(tmp_path)]) == 0
+    assert [args.command for args in seen] == [
+        "table1", "table2", "figure3", "figure4", "table3", "table4",
+        "table5", "table6",
+    ]
+    sweeps = {"table2", "figure3", "figure4", "table5", "table6"}
+    for args in seen:
+        argv = [args.command, "--output", str(tmp_path / f"{args.command}.txt")]
+        if args.command in sweeps:
+            argv += ["--jobs", "3"]
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_whatif_gate_fails_on_nan_error(capsys, monkeypatch):
+    """A nan prediction error (no comparable rerun) fails the gate
+    wherever it sits among the rows."""
+    from repro.obs import whatif
+
+    nan_row = whatif.ValidationRow("cpu:2", 1.0, 0.5, float("nan"))
+    ok_row = whatif.ValidationRow("disk:2", 1.0, 0.5, 0.5)
+    for rows in ([nan_row, ok_row], [ok_row, nan_row]):
+        monkeypatch.setattr(
+            whatif, "validate_scenarios", lambda *a, rows=rows, **k: rows
+        )
+        rc = main(["whatif", "--scenarios", "cpu:2", "disk:2", "--validate"])
+        assert rc == 1
+        assert "FAIL: cpu:2 error nan% exceeds 10.00%" in capsys.readouterr().out
 
 
 class TestProvenanceMeta:
@@ -89,13 +257,17 @@ class TestProvenanceMeta:
         return _provenance_meta(build_parser().parse_args(argv))
 
     def test_manifest_has_exactly_the_provenance_keys(self):
-        meta = self.meta(["table3", "--seed", "5", "--jobs", "2",
-                          "--directory", "bloom"])
+        meta = self.meta(["figure4", "--seed", "5", "--jobs", "2"])
         assert set(meta) == self.KEYS
-        assert meta["command"] == "table3"
+        assert meta["command"] == "figure4"
         assert meta["seed"] == 5
         assert meta["jobs"] == 2
+        meta = self.meta(["table3", "--directory", "bloom"])
+        assert set(meta) == self.KEYS
         assert meta["directory"] == "bloom"
+        # table3 takes neither flag: its runs draw no seed and fan out no jobs
+        assert meta["seed"] is None
+        assert meta["jobs"] is None
 
     def test_grid_names_its_protocols_as_the_directory(self):
         meta = self.meta(["directory-grid", "--protocols", "digest", "bloom"])
@@ -119,12 +291,14 @@ class TestProvenanceMeta:
         assert moved == base
 
     @pytest.mark.parametrize("knob", [
-        ["--seed", "1"], ["--jobs", "2"], ["--nodes", "2", "4"],
-        ["--requests", "40"], ["--directory", "digest"],
+        ("figure4", ["--seed", "1"]), ("figure4", ["--jobs", "2"]),
+        ("table3", ["--nodes", "2", "4"]), ("table3", ["--requests", "40"]),
+        ("table3", ["--directory", "digest"]),
     ])
     def test_config_hash_tracks_every_run_knob(self, knob):
-        base = self.meta(["table3"])["config_hash"]
-        assert self.meta(["table3"] + knob)["config_hash"] != base
+        command, flags = knob
+        base = self.meta([command])["config_hash"]
+        assert self.meta([command] + flags)["config_hash"] != base
 
     def test_exported_manifest_matches(self, capsys, tmp_path):
         import json
@@ -572,57 +746,3 @@ class TestProfiling:
         first, second = run("a"), run("b")
         capsys.readouterr()
         assert first == second
-
-
-class TestBenchCompare:
-    """The `repro bench --compare` gate against a committed snapshot."""
-
-    def _snapshot(self, tmp_path, events_per_sec):
-        import json
-
-        snap = tmp_path / "BENCH_base.json"
-        snap.write_text(json.dumps({
-            "schema": "repro-bench-v1",
-            "results": [{
-                "name": "event_dispatch", "rounds": 1, "events": 20002,
-                "wall_min_s": 0.01, "wall_mean_s": 0.01,
-                "events_per_sec": events_per_sec,
-            }],
-        }))
-        return snap
-
-    def _bench(self, tmp_path, snap, *extra):
-        return main([
-            "bench", "--rounds", "1", "--only", "event_dispatch",
-            "--output", str(tmp_path / "fresh.json"),
-            "--compare", str(snap), *extra,
-        ])
-
-    def test_pass_when_at_least_as_fast(self, capsys, tmp_path):
-        snap = self._snapshot(tmp_path, events_per_sec=1.0)  # trivially beaten
-        assert self._bench(tmp_path, snap) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_fail_on_regression(self, capsys, tmp_path):
-        snap = self._snapshot(tmp_path, events_per_sec=1e12)  # unbeatable
-        assert self._bench(tmp_path, snap) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_warn_only_downgrades_to_success(self, capsys, tmp_path):
-        snap = self._snapshot(tmp_path, events_per_sec=1e12)
-        assert self._bench(tmp_path, snap, "--compare-warn-only") == 0
-
-    def test_missing_snapshot_is_usage_error(self, tmp_path):
-        assert self._bench(tmp_path, tmp_path / "nope.json") == 2
-
-    def test_new_workload_is_not_a_regression(self, capsys, tmp_path):
-        import json
-
-        snap = self._snapshot(tmp_path, events_per_sec=1e12)
-        data = json.loads(snap.read_text())
-        data["results"][0]["name"] = "retired_workload"
-        snap.write_text(json.dumps(data))
-        assert self._bench(tmp_path, snap) == 0
-        out = capsys.readouterr().out
-        assert "new (no baseline)" in out
-        assert "not run" in out
